@@ -14,14 +14,15 @@
 // scales with the batch; REPRO_CONV_ENGINE=gemm|direct selects the
 // engine), the paper's 3D U-Net (unet), Dice losses and optimizers (loss, optim, metrics), the data path
 // from NIfTI phantoms to TFRecords and tf.Data-style pipelines (msd, nifti,
-// volume, record, pipeline, profiler), the unified training-orchestration
+// volume, record, pipeline), the unified training-orchestration
 // layer — one Session loop over pluggable strategies with an ordered
 // callback chain and bit-exact checkpoint/resume (train, ckpt) — the
 // distribution layer selecting and driving those strategies with resumable
 // hyper-parameter campaigns (allreduce, mirrored, raysgd, tune, cluster)
-// — allreduce runs its ring and hierarchical reductions both in-process
-// over shared buffers and multi-process over a TCP transport with the
-// identical bitwise accumulation order, and dist adds the fault-tolerant
+// — allreduce has one ring, flat or hierarchical, run over in-process
+// pipe links or a TCP transport; mirrored runs one data-parallel step per
+// rank, W ranks over pipes in one process or one rank per process over TCP
+// with bitwise the same result, and dist adds the fault-tolerant
 // coordinator/worker layer on top: elastic membership with heartbeats and
 // generations, step-granular session checkpoints, and recovery that
 // resumes survivors (or a rejoined worker) from the last checkpoint with
@@ -33,7 +34,8 @@
 // with Prometheus text exposition, a never-blocking JSONL trace-event
 // stream, and pprof mounting, instrumented through train/serve/allreduce/
 // dist/tensor and surfaced by the binaries' /metrics, -trace and
-// -metrics-addr flags (telemetry, with profiler as a thin span-report view)
+// -metrics-addr flags, with span aggregation for pipeline profiling
+// (telemetry)
 // — and the DistMIS facade (core).
 //
 // See README.md for a tour and PAPER.md for the source-paper summary.

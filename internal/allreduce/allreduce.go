@@ -1,11 +1,14 @@
 // Package allreduce implements the gradient reduction collectives of the
-// data-parallel path: a real ring all-reduce executed by one goroutine per
-// replica (the algorithm NCCL runs across GPUs), and a naive
-// gather-and-broadcast baseline used by the ablation benchmarks. Both
-// operate in place on the replicas' gradient buffers.
+// data-parallel path. There is one ring all-reduce (the algorithm NCCL runs
+// across GPUs), in topology.go: it runs over framed links, TCP between
+// processes (FormTopology) or in-memory pipes within one (LocalTopologies),
+// flat or hierarchical. Ring and Hierarchical apply it to a set of buffers in
+// one process; Naive is the gather-and-broadcast baseline of the ablation
+// benchmarks. All of them operate in place.
 package allreduce
 
 import (
+	"errors"
 	"fmt"
 	"sync"
 )
@@ -36,88 +39,47 @@ func validate(bufs [][]float32) error {
 	return nil
 }
 
-// Ring performs an in-place ring all-reduce: after it returns every buffer
-// holds the elementwise sum of all input buffers. Workers run concurrently,
-// one goroutine per replica, exchanging chunks over channels exactly like
-// the bucketed NCCL ring: n−1 scatter-reduce steps followed by n−1
-// all-gather steps, each moving 1/n of the buffer.
-func Ring(bufs [][]float32) error {
+// reduceLocal wires one local topology per buffer, runs the all-reduce (or
+// its average) on every rank concurrently, and closes the topologies.
+func reduceLocal(bufs [][]float32, groupSize int, average bool) error {
 	if err := validate(bufs); err != nil {
 		return err
 	}
-	n := len(bufs)
-	if n == 1 {
-		return nil
-	}
-	size := len(bufs[0])
-
-	// links[i] carries chunks from worker i to worker (i+1) mod n.
-	links := make([]chan []float32, n)
-	for i := range links {
-		links[i] = make(chan []float32, 1)
-	}
-
+	topos := LocalTopologies(len(bufs), groupSize)
+	errs := make([]error, len(bufs))
 	var wg sync.WaitGroup
-	wg.Add(n)
-	for w := 0; w < n; w++ {
-		go func(w int) {
+	for r, t := range topos {
+		wg.Add(1)
+		go func() {
 			defer wg.Done()
-			buf := bufs[w]
-			prev := links[(w-1+n)%n]
-
-			// Scatter-reduce: after step s, worker w has accumulated
-			// s+1 contributions into chunk (w-s+n)%n.
-			for s := 0; s < n-1; s++ {
-				sendChunk := (w - s + n) % n
-				lo, hi := chunkBounds(size, n, sendChunk)
-				out := make([]float32, hi-lo)
-				copy(out, buf[lo:hi])
-				links[w] <- out
-
-				in := <-prev
-				recvChunk := (w - s - 1 + n) % n
-				rlo, rhi := chunkBounds(size, n, recvChunk)
-				if len(in) != rhi-rlo {
-					panic("allreduce: chunk size mismatch")
-				}
-				for i := range in {
-					buf[rlo+i] += in[i]
+			if average {
+				errs[r] = t.AllReduceAverage(bufs[r])
+			} else {
+				errs[r] = t.AllReduce(bufs[r])
+			}
+			if errs[r] != nil {
+				for _, o := range topos { // unblock the other ranks
+					o.Close()
 				}
 			}
-
-			// All-gather: circulate the fully reduced chunks.
-			for s := 0; s < n-1; s++ {
-				sendChunk := (w + 1 - s + n) % n
-				lo, hi := chunkBounds(size, n, sendChunk)
-				out := make([]float32, hi-lo)
-				copy(out, buf[lo:hi])
-				links[w] <- out
-
-				in := <-prev
-				recvChunk := (w - s + n) % n
-				rlo, rhi := chunkBounds(size, n, recvChunk)
-				copy(buf[rlo:rhi], in)
-			}
-		}(w)
+		}()
 	}
 	wg.Wait()
-	return nil
+	for _, t := range topos {
+		t.Close()
+	}
+	return errors.Join(errs...)
 }
+
+// Ring performs an in-place ring all-reduce: after it returns every buffer
+// holds the elementwise sum of all input buffers. Each buffer is one rank
+// of a flat ring over in-memory links: n−1 scatter-reduce steps followed by
+// n−1 all-gather steps, each moving 1/n of the buffer.
+func Ring(bufs [][]float32) error { return reduceLocal(bufs, 0, false) }
 
 // RingAverage runs Ring and divides every buffer by the replica count,
 // producing the averaged gradients synchronous SGD applies.
-func RingAverage(bufs [][]float32) error {
-	if err := Ring(bufs); err != nil {
-		return err
-	}
-	inv := 1 / float32(len(bufs))
-	for _, b := range bufs {
-		for i := range b {
-			b[i] *= inv
-		}
-	}
-	return nil
-}
+func RingAverage(bufs [][]float32) error { return reduceLocal(bufs, 0, true) }
 
 // Naive performs the gather-then-broadcast baseline: buffer 0 accumulates
 // every other buffer sequentially and the result is copied back out. Same

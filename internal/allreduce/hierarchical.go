@@ -8,61 +8,16 @@ import "fmt"
 // an intra-group broadcast. After it returns every buffer holds the global
 // elementwise sum. groupSize is the number of replicas per node.
 func Hierarchical(bufs [][]float32, groupSize int) error {
-	if err := validate(bufs); err != nil {
-		return err
-	}
 	if groupSize < 1 {
 		return fmt.Errorf("allreduce: groupSize must be ≥ 1, got %d", groupSize)
 	}
-	n := len(bufs)
-	if n == 1 {
-		return nil
-	}
-
-	// Level 1: reduce within each group.
-	var leaders [][]float32
-	for lo := 0; lo < n; lo += groupSize {
-		hi := lo + groupSize
-		if hi > n {
-			hi = n
-		}
-		group := bufs[lo:hi]
-		if err := Ring(group); err != nil {
-			return err
-		}
-		leaders = append(leaders, group[0])
-	}
-
-	// Level 2: reduce across group leaders.
-	if len(leaders) > 1 {
-		if err := Ring(leaders); err != nil {
-			return err
-		}
-	}
-
-	// Level 3: broadcast the global sum within each group.
-	for lo := 0; lo < n; lo += groupSize {
-		hi := lo + groupSize
-		if hi > n {
-			hi = n
-		}
-		for i := lo + 1; i < hi; i++ {
-			copy(bufs[i], bufs[lo])
-		}
-	}
-	return nil
+	return reduceLocal(bufs, groupSize, false)
 }
 
 // HierarchicalAverage runs Hierarchical and divides by the replica count.
 func HierarchicalAverage(bufs [][]float32, groupSize int) error {
-	if err := Hierarchical(bufs, groupSize); err != nil {
-		return err
+	if groupSize < 1 {
+		return fmt.Errorf("allreduce: groupSize must be ≥ 1, got %d", groupSize)
 	}
-	inv := 1 / float32(len(bufs))
-	for _, b := range bufs {
-		for i := range b {
-			b[i] *= inv
-		}
-	}
-	return nil
+	return reduceLocal(bufs, groupSize, true)
 }

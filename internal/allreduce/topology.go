@@ -4,17 +4,18 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"sync/atomic"
 	"time"
 )
 
-// This file runs the package's collectives over real sockets. A Topology is
-// one worker's view of the wired ring: its intra-group ring link and — for
-// group leaders — the leader ring link. With a single group it is the flat
-// ring; with groupSize < width it is the paper's hierarchical layout
-// (NVLink ring per node, InfiniBand ring across nodes). Every reduction
-// runs in the same order as the in-process Ring/Hierarchical functions, so
-// multi-process results are bitwise identical to the mirrored in-process
-// trainer.
+// This file holds the package's one ring. A Topology is one worker's view of
+// the wired membership: its intra-group ring link and — for group leaders —
+// the leader ring link. With a single group it is the flat ring; with
+// groupSize < width it is the paper's hierarchical layout (NVLink ring per
+// node, InfiniBand ring across nodes). FormTopology wires the links over TCP
+// between processes, LocalTopologies over in-memory pipes within one
+// process; the collectives run the same code over either kind of link, so a
+// multi-process run is bitwise identical to the in-process one.
 
 // Named transport errors.
 var (
@@ -90,10 +91,9 @@ type ringLink struct {
 
 // Topology is one worker's wired view of the membership.
 type Topology struct {
-	rank, n   int
-	groupSize int
-	cfg       NetConfig
-	op        uint32
+	rank, n int
+	cfg     NetConfig
+	op      uint32
 
 	cdc Codec         // negotiated gradient codec (never nil after formation)
 	cm  *codecMetrics // cached metric children for cdc
@@ -101,9 +101,9 @@ type Topology struct {
 	intra  *ringLink // ring within the group (nil when the group has 1 member)
 	leader *ringLink // ring across group leaders (nil unless leader of >1 groups)
 
-	groupLo, groupN int
-	numGroups       int
-	conns           []Conn
+	numGroups int
+	conns     []Conn
+	closed    atomic.Bool
 }
 
 // Rank returns this worker's global rank.
@@ -119,80 +119,121 @@ func (t *Topology) Codec() Codec { return t.cdc }
 // collectives wait on slower full-volume inference and need a longer one).
 func (t *Topology) SetOpTimeout(d time.Duration) { t.cfg.OpTimeout = d }
 
-// Close tears down every link.
+// Close tears down every link. It is safe to call concurrently with a
+// running collective, which then fails with ErrRingBroken — as do the
+// neighbours' collectives, whose links to this worker are gone — and more
+// than once.
 func (t *Topology) Close() {
+	if t.closed.Swap(true) {
+		return
+	}
 	for _, c := range t.conns {
-		if c != nil {
-			c.Close()
+		c.Close()
+	}
+}
+
+// errIfClosed refuses a collective on a closed topology.
+func (t *Topology) errIfClosed() error {
+	if t.closed.Load() {
+		return fmt.Errorf("%w: topology closed", ErrRingBroken)
+	}
+	return nil
+}
+
+// linkPlan is one ring link a worker takes part in: it sends to dialRank
+// and receives from fromRank (global ranks), at position local of a ring
+// of width members.
+type linkPlan struct {
+	role               uint32
+	local, width       int
+	dialRank, fromRank int
+}
+
+// plan lays out rank's place in an n-member membership: the topology
+// without links, and the links it takes part in. groupSize ≤ 0 or ≥ n is the
+// flat ring; otherwise groups of groupSize form intra-group rings and their
+// leaders (ranks 0, groupSize, 2·groupSize, …) a leader ring. The last group
+// may be smaller.
+func plan(rank, n, groupSize int, cfg NetConfig) (*Topology, []linkPlan) {
+	if groupSize <= 0 || groupSize > n {
+		groupSize = n
+	}
+	lo := (rank / groupSize) * groupSize
+	gn := min(lo+groupSize, n) - lo
+	local := rank - lo
+	numGroups := (n + groupSize - 1) / groupSize
+	t := &Topology{rank: rank, n: n, cfg: cfg, numGroups: numGroups,
+		cdc: cfg.Codec, cm: codecMetricsFor(cfg.Codec)}
+
+	var links []linkPlan
+	if gn > 1 {
+		links = append(links, linkPlan{RoleIntra, local, gn, lo + (local+1)%gn, lo + (local-1+gn)%gn})
+	}
+	if local == 0 && numGroups > 1 {
+		li := rank / groupSize
+		links = append(links, linkPlan{RoleLeader, li, numGroups,
+			((li + 1) % numGroups) * groupSize, ((li - 1 + numGroups) % numGroups) * groupSize})
+	}
+	return t, links
+}
+
+// attach installs one established link.
+func (t *Topology) attach(p linkPlan, next, prev Conn) {
+	l := &ringLink{rank: p.local, n: p.width, next: next, prev: prev, nextRank: p.dialRank, prevRank: p.fromRank}
+	t.conns = append(t.conns, next, prev)
+	if p.role == RoleIntra {
+		t.intra = l
+	} else {
+		t.leader = l
+	}
+}
+
+// LocalTopologies wires an n-member membership inside one process, one
+// topology per rank, with groupSize as in FormTopology. Every ring link is
+// a framed Conn over one end of a net.Pipe, so the collectives run exactly
+// as over TCP, with the identity codec and no deadlines. Close every
+// topology when done.
+func LocalTopologies(n, groupSize int) []*Topology {
+	cfg := NetConfig{}.withDefaults()
+	topos := make([]*Topology, n)
+	plans := make([][]linkPlan, n)
+	for r := range topos {
+		topos[r], plans[r] = plan(r, n, groupSize, cfg)
+	}
+	type key struct {
+		role     uint32
+		from, to int
+	}
+	ends := map[key][2]Conn{} // sender's end, receiver's end
+	for r, ps := range plans {
+		for _, p := range ps {
+			a, b := net.Pipe()
+			ends[key{p.role, r, p.dialRank}] = [2]Conn{NewConn(a, 0), NewConn(b, 0)}
 		}
 	}
-	t.conns = nil
-	t.intra, t.leader = nil, nil
-}
-
-// groupOf returns [lo, hi) of rank's group under groupSize, mirroring the
-// in-process Hierarchical's grouping.
-func groupOf(rank, n, groupSize int) (int, int) {
-	lo := (rank / groupSize) * groupSize
-	hi := lo + groupSize
-	if hi > n {
-		hi = n
+	for r, ps := range plans {
+		for _, p := range ps {
+			topos[r].attach(p, ends[key{p.role, r, p.dialRank}][0], ends[key{p.role, p.fromRank, r}][1])
+		}
 	}
-	return lo, hi
+	return topos
 }
 
-// FormTopology wires this worker into the membership: members[r] is rank
-// r's ring listen address, ln this worker's own listener (members[rank]
-// must route to it). groupSize ≤ 0 or ≥ len(members) forms the flat ring;
-// otherwise groups of groupSize form intra-group rings and their leaders
-// (ranks 0, groupSize, 2·groupSize, …) a leader ring, exactly like the
-// in-process Hierarchical. Outbound links dial with retry/backoff — peers
-// come up in arbitrary order — and both directions handshake with a
-// generation-stamped hello, so stale connections from an earlier
-// membership are rejected instead of corrupting the new ring.
+// FormTopology wires this worker into the membership over TCP: members[r]
+// is rank r's ring listen address, ln this worker's own listener
+// (members[rank] must route to it). groupSize is as in plan. Outbound links
+// dial with retry/backoff — peers come up in arbitrary order — and both
+// directions handshake with a generation-stamped hello, so stale
+// connections from an earlier membership are rejected instead of
+// corrupting the new ring.
 func FormTopology(ln net.Listener, members []string, rank, groupSize int, cfg NetConfig) (*Topology, error) {
 	cfg = cfg.withDefaults()
 	n := len(members)
 	if n == 0 || rank < 0 || rank >= n {
 		return nil, fmt.Errorf("allreduce: rank %d outside membership of %d", rank, n)
 	}
-	if groupSize <= 0 || groupSize > n {
-		groupSize = n
-	}
-	lo, hi := groupOf(rank, n, groupSize)
-	gn := hi - lo
-	local := rank - lo
-	numGroups := (n + groupSize - 1) / groupSize
-
-	t := &Topology{
-		rank: rank, n: n, groupSize: groupSize, cfg: cfg,
-		groupLo: lo, groupN: gn, numGroups: numGroups,
-		cdc: cfg.Codec, cm: codecMetricsFor(cfg.Codec),
-	}
-	if n == 1 {
-		return t, nil
-	}
-
-	// The links this worker participates in: (role, peer-to-dial,
-	// peer-to-accept-from).
-	type want struct {
-		role               uint32
-		dialRank, fromRank int
-	}
-	var wants []want
-	if gn > 1 {
-		wants = append(wants, want{RoleIntra, lo + (local+1)%gn, lo + (local-1+gn)%gn})
-	}
-	isLeader := rank == lo
-	if isLeader && numGroups > 1 {
-		li := rank / groupSize
-		dial := ((li + 1) % numGroups) * groupSize
-		from := ((li - 1 + numGroups) % numGroups) * groupSize
-		wants = append(wants, want{RoleLeader, dial, from})
-	}
+	t, wants := plan(rank, n, groupSize, cfg)
 	if len(wants) == 0 {
-		// Sole member of its group with a single group overall — unreachable
-		// given n > 1, but keep the invariant explicit.
 		return t, nil
 	}
 
@@ -208,7 +249,7 @@ func FormTopology(ln net.Listener, members []string, rank, groupSize int, cfg Ne
 	}
 	dialCh := make(chan dialRes, len(wants))
 	for _, w := range wants {
-		go func(w want) {
+		go func(w linkPlan) {
 			conn, err := dialRing(members[w.dialRank], rank, w.dialRank, w.role, cfg, deadline)
 			dialCh <- dialRes{w.role, w.dialRank, conn, err}
 		}(w)
@@ -303,19 +344,9 @@ func FormTopology(ln net.Listener, members []string, rank, groupSize int, cfg Ne
 		}
 		return c
 	}
-	link := func(role uint32, localRank, width, dialRank, fromRank int) *ringLink {
-		next := wrap(dialRank, dialed[[2]uint32{role, uint32(dialRank)}])
-		prev := wrap(fromRank, accepted[[2]uint32{role, uint32(fromRank)}])
-		t.conns = append(t.conns, next, prev)
-		return &ringLink{rank: localRank, n: width, next: next, prev: prev, nextRank: dialRank, prevRank: fromRank}
-	}
 	for _, w := range wants {
-		switch w.role {
-		case RoleIntra:
-			t.intra = link(RoleIntra, local, gn, w.dialRank, w.fromRank)
-		case RoleLeader:
-			t.leader = link(RoleLeader, rank/groupSize, numGroups, w.dialRank, w.fromRank)
-		}
+		t.attach(w, wrap(w.dialRank, dialed[[2]uint32{w.role, uint32(w.dialRank)}]),
+			wrap(w.fromRank, accepted[[2]uint32{w.role, uint32(w.fromRank)}]))
 	}
 	return t, nil
 }
@@ -373,27 +404,26 @@ func (t *Topology) armDeadline() {
 		d = time.Now().Add(t.cfg.OpTimeout)
 	}
 	for _, c := range t.conns {
-		if c != nil {
-			c.SetDeadline(d)
-		}
+		c.SetDeadline(d)
 	}
 }
 
 func (t *Topology) clearDeadline() {
 	for _, c := range t.conns {
-		if c != nil {
-			c.SetDeadline(time.Time{})
-		}
+		c.SetDeadline(time.Time{})
 	}
 }
 
-// AllReduce sums buf elementwise across the membership, in place, with the
-// same reduction order as the in-process Ring (single group) or
-// Hierarchical (multiple groups): results are bitwise identical to those
-// functions over the same inputs.
+// AllReduce sums buf elementwise across the membership, in place: a ring
+// reduce within each group, a ring reduce across group leaders, then a
+// broadcast from each leader within its group. The reduction order depends
+// only on the layout, not on the kind of link.
 func (t *Topology) AllReduce(buf []float32) error {
 	if t.n == 1 {
 		return nil
+	}
+	if err := t.errIfClosed(); err != nil {
+		return err
 	}
 	t.op++
 	t.armDeadline()
@@ -421,8 +451,7 @@ func (t *Topology) AllReduce(buf []float32) error {
 	return nil
 }
 
-// AllReduceAverage runs AllReduce and divides by the membership width, the
-// same final scaling as RingAverage/HierarchicalAverage.
+// AllReduceAverage runs AllReduce and divides by the membership width.
 func (t *Topology) AllReduceAverage(buf []float32) error {
 	if err := t.AllReduce(buf); err != nil {
 		return err
@@ -440,6 +469,9 @@ func (t *Topology) AllReduceAverage(buf []float32) error {
 func (t *Topology) GatherAll64(v float64) ([]float64, error) {
 	if t.n == 1 {
 		return []float64{v}, nil
+	}
+	if err := t.errIfClosed(); err != nil {
+		return nil, err
 	}
 	t.op++
 	t.armDeadline()
@@ -484,6 +516,9 @@ func (t *Topology) GatherAll64(v float64) ([]float64, error) {
 func (t *Topology) Broadcast64(v float64) (float64, error) {
 	if t.n == 1 {
 		return v, nil
+	}
+	if err := t.errIfClosed(); err != nil {
+		return 0, err
 	}
 	t.op++
 	t.armDeadline()
@@ -574,11 +609,11 @@ func sendAsync(c Conn, f *Frame) chan error {
 	return ch
 }
 
-// ringReduce is the bucketed ring all-reduce of the in-process Ring, over
-// sockets: n−1 scatter-reduce steps then n−1 all-gather steps, each moving
-// one chunk. Chunk bounds and accumulation order match Ring exactly; with
-// the identity codec the wire bytes are byte-for-byte the version-1 format's
-// payloads.
+// ringReduce is the bucketed ring all-reduce (the algorithm NCCL runs
+// across GPUs): n−1 scatter-reduce steps then n−1 all-gather steps, each
+// moving one chunk. After scatter-reduce step s, this rank has accumulated
+// s+1 contributions into chunk (rank−s−1) mod n; with the identity codec the
+// wire bytes are byte-for-byte the version-1 format's payloads.
 //
 // Under a lossy codec, cross-rank bit-identity holds because the all-gather
 // never re-encodes: the rank that completes a chunk encodes its final sum

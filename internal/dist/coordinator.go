@@ -7,6 +7,7 @@ import (
 	"net"
 	"sort"
 	"strconv"
+	"strings"
 	"time"
 
 	"repro/internal/telemetry"
@@ -44,8 +45,8 @@ type CoordinatorConfig struct {
 	Logf             func(format string, args ...any)
 
 	// Tracer, when non-nil, receives one structured event per membership
-	// lifecycle transition: gen_start, worker_lost, halt, reform, rejoin,
-	// degraded, checkpoint and run_done. The records carry the generation
+	// lifecycle transition: gen_start, worker_lost, worker_fail, halt,
+	// halt_wait, reform, rejoin, degraded, checkpoint and run_done. The records carry the generation
 	// and identify workers by address and slot, so a fault-injection run's
 	// recovery path can be asserted from the JSONL stream alone.
 	Tracer *telemetry.Tracer
@@ -68,7 +69,7 @@ type member struct {
 	addr     string // ring address from the hello
 	slot     int    // stable identity 0..Width-1, -1 while parked
 	lastSeen time.Time
-	idle     bool   // not running a generation (acked, failed or done)
+	idle     bool   // not running a generation (new, acked, failed or done)
 	hash     string // final hash when done under the current generation
 	done     bool
 }
@@ -178,7 +179,7 @@ func (c *Coordinator) accept() {
 				return
 			}
 			conn.SetReadDeadline(time.Time{})
-			m := &member{conn: conn, enc: json.NewEncoder(conn), addr: hello.Addr, slot: -1}
+			m := newMember(conn, hello.Addr)
 			if !c.post(event{m: m, join: true}) {
 				conn.Close()
 				return
@@ -195,6 +196,13 @@ func (c *Coordinator) accept() {
 			}
 		}(conn)
 	}
+}
+
+// newMember is a freshly joined, unslotted worker. It runs no generation
+// until a start names it, so it counts as idle: a halt wait that slots it
+// into a vacancy must not wait for an ack it was never asked for.
+func newMember(conn net.Conn, addr string) *member {
+	return &member{conn: conn, enc: json.NewEncoder(conn), addr: addr, slot: -1, idle: true}
 }
 
 // live returns the slotted members ordered by slot — the next generation's
@@ -318,9 +326,7 @@ func (c *Coordinator) Run() (*Result, error) {
 			return nil, fmt.Errorf("%w: %d consecutive reforms stuck at checkpoint step %d",
 				ErrTooManyReforms, reformsSinceCkpt, lastCkptStep)
 		}
-		if err := c.haltAll(); err != nil {
-			return nil, err
-		}
+		c.haltAll()
 		c.trace("reform", "reforms", strconv.Itoa(reforms))
 	}
 }
@@ -489,26 +495,40 @@ func (c *Coordinator) supervise(ckptStep int) (*Result, int, error) {
 }
 
 // haltAll stops the current generation on every survivor and waits until
-// each is idle (acked, failed or dead).
-func (c *Coordinator) haltAll() error {
+// each is idle (acked, failed or dead). The wait is bounded by StepTimeout:
+// members still busy then are dropped, with a halt_wait trace event naming
+// their slots, and the normal re-form path takes over.
+func (c *Coordinator) haltAll() {
 	c.trace("halt")
 	for _, m := range c.live() {
 		if !m.idle {
 			c.sendTo(m, ctrlMsg{Type: msgHalt, Gen: c.gen, Suspect: -1})
 		}
 	}
+	deadline := time.Now().Add(c.cfg.StepTimeout)
 	tick := time.NewTicker(100 * time.Millisecond)
 	defer tick.Stop()
 	for {
-		settled := true
+		var busy []*member
 		for _, m := range c.live() {
 			if !m.idle {
-				settled = false
-				break
+				busy = append(busy, m)
 			}
 		}
-		if settled {
-			return nil
+		if len(busy) == 0 {
+			return
+		}
+		if time.Now().After(deadline) {
+			slots := make([]string, len(busy))
+			for i, m := range busy {
+				slots[i] = strconv.Itoa(m.slot)
+			}
+			c.cfg.Logf("gen %d: slots %v did not halt within %v, dropping", c.gen, slots, c.cfg.StepTimeout)
+			c.trace("halt_wait", "slots", strings.Join(slots, ","))
+			for _, m := range busy {
+				c.drop(m)
+			}
+			continue
 		}
 		select {
 		case ev := <-c.ev:
@@ -516,7 +536,6 @@ func (c *Coordinator) haltAll() error {
 			case ev.join:
 				c.members = append(c.members, ev.m)
 				ev.m.lastSeen = time.Now()
-				ev.m.idle = true // not part of the halting generation
 				c.assignSlots()
 			case ev.err != nil:
 				if c.isMember(ev.m) {

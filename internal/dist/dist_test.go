@@ -113,12 +113,7 @@ func TestDistMatchesMirrored(t *testing.T) {
 				BaseLR:    spec.BaseLR,
 				ScaleLR:   spec.ScaleLR,
 			}
-			if tc.groupSize > 0 {
-				gs := tc.groupSize
-				mcfg.Reducer = func(bufs [][]float32) error {
-					return allreduce.HierarchicalAverage(bufs, gs)
-				}
-			}
+			mcfg.GroupSize = tc.groupSize
 			tr, err := mirrored.New(mcfg)
 			if err != nil {
 				t.Fatal(err)

@@ -1,13 +1,14 @@
 // Package dist runs fault-tolerant multi-process data-parallel training: a
 // coordinator holds the membership and drives generations of synchronous
 // training; workers wire themselves into a TCP all-reduce ring
-// (allreduce.FormTopology) and execute the shared training plan. The
-// reduction order over the wire matches the in-process mirrored trainer
-// bit-for-bit, and recovery goes through the session-checkpoint layer: when
-// a worker dies, the survivors (plus a rejoiner or respawn) re-form the
-// ring under a fresh generation, reload the last step-granular checkpoint
-// and replay deterministically — so a run with a mid-training kill ends
-// with exactly the parameters of an uninterrupted run.
+// (allreduce.FormTopology) and each runs one mirrored.Rank of the shared
+// training plan. That is the step the in-process mirrored trainer runs over
+// pipe links, so the result matches it bit-for-bit. Recovery goes through
+// the session-checkpoint layer: when a worker dies, the survivors (plus a
+// rejoiner or respawn) re-form the ring under a fresh generation, reload
+// the last step-granular checkpoint and replay deterministically — so a run
+// with a mid-training kill ends with exactly the parameters of an
+// uninterrupted run.
 package dist
 
 import (
@@ -86,7 +87,7 @@ type TrainSpec struct {
 const defaultBucketKB = 64
 
 // bucketBytes resolves the BucketKB policy to a byte count for
-// NetStrategy.SetBucketBytes (0 = monolithic).
+// mirrored.Rank.SetBucketBytes (0 = monolithic).
 func (s *TrainSpec) bucketBytes(c allreduce.Codec) int {
 	switch {
 	case s.BucketKB > 0:

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"repro/internal/allreduce"
+	"repro/internal/mirrored"
 	"repro/internal/train"
 	"repro/internal/volume"
 )
@@ -327,7 +328,7 @@ func (w *Worker) train(run *genRun, rank int, members []string, spec TrainSpec) 
 	}
 	defer topo.Close()
 
-	strat, err := NewNetStrategy(topo, netCfg, spec.Loss, spec.Optimizer, spec.BaseLR, spec.ScaleLR)
+	strat, err := mirrored.NewRank(topo, netCfg, spec.Loss, spec.Optimizer, spec.BaseLR, spec.ScaleLR)
 	if err != nil {
 		return err
 	}

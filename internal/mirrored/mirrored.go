@@ -1,9 +1,11 @@
 // Package mirrored implements synchronous data parallelism with real
-// gradient mathematics, the analogue of tf.MirroredStrategy: R identical
-// model replicas (goroutines standing in for GPUs) shard each global batch,
-// compute gradients concurrently, average them with a ring all-reduce and
-// apply identical optimizer updates, so replicas stay bit-for-bit
-// synchronized. The paper's batch/learning-rate scaling rule (batch 2 per
+// gradient mathematics, the analogue of tf.MirroredStrategy. A Rank is one
+// member of the membership: it trains its shard of every global batch,
+// averages gradients with the other ranks over a ring all-reduce and applies
+// the identical optimizer update, so replicas stay bit-for-bit
+// synchronized. The Trainer runs R ranks in one process (goroutines standing
+// in for GPUs) over in-memory links; internal/dist runs one rank per process
+// over TCP. The paper's batch/learning-rate scaling rule (batch 2 per
 // replica, lr = base × replicas) is applied by the constructor.
 package mirrored
 
@@ -13,10 +15,8 @@ import (
 	"time"
 
 	"repro/internal/allreduce"
-	"repro/internal/loss"
 	"repro/internal/metrics"
 	"repro/internal/nn"
-	"repro/internal/optim"
 	"repro/internal/parallel"
 	"repro/internal/tensor"
 	"repro/internal/unet"
@@ -38,26 +38,17 @@ type Config struct {
 	// cores instead of oversubscribing Replicas × Workers.
 	Workers int
 
-	// Reducer averages the replica gradient buffers in place; nil means
-	// flat ring all-reduce. The multi-node layer plugs in the
-	// hierarchical (intra-node then inter-node) reducer here.
-	Reducer func([][]float32) error
+	// GroupSize is the number of replicas per node: replicas reduce in a
+	// ring within each node, then node leaders in a ring across nodes (the
+	// hierarchical all-reduce). 0 means one flat ring.
+	GroupSize int
 }
 
-// Trainer drives R replicas.
+// Trainer drives R replicas, one Rank each, over in-process ring links.
 type Trainer struct {
 	cfg      Config
-	replicas []*replica
-	lossName string
-
-	phaseObs func(phase string, d time.Duration) // nil = no phase timing
-}
-
-type replica struct {
-	model   *unet.UNet
-	loss    loss.Loss
-	opt     optim.Optimizer
-	workers int // this replica's share of the trainer's worker budget
+	replicas []*Rank
+	workers  []int // each replica's share of the worker budget
 }
 
 // New builds a trainer with identically initialized replicas.
@@ -65,32 +56,19 @@ func New(cfg Config) (*Trainer, error) {
 	if cfg.Replicas < 1 {
 		return nil, fmt.Errorf("mirrored: Replicas must be ≥ 1, got %d", cfg.Replicas)
 	}
-	lr := cfg.BaseLR
-	if cfg.ScaleLR {
-		lr = optim.ScaleLRForReplicas(cfg.BaseLR, cfg.Replicas)
-	}
-	t := &Trainer{cfg: cfg, lossName: cfg.Loss}
 	// ShareN distributes the budget remainder, so a 7-core budget over two
 	// replicas runs 4+3 instead of 3+3 with a core idle. Unequal shares are
 	// safe: kernel results are bit-for-bit independent of the worker count,
 	// so replicas stay synchronized regardless of their share.
-	shares := parallel.ShareN(cfg.Workers, cfg.Replicas)
-	for r := 0; r < cfg.Replicas; r++ {
+	t := &Trainer{cfg: cfg, workers: parallel.ShareN(cfg.Workers, cfg.Replicas)}
+	for r, topo := range allreduce.LocalTopologies(cfg.Replicas, cfg.GroupSize) {
 		netCfg := cfg.Net // same seed → identical weights
-		netCfg.Workers = shares[r]
-		net, err := unet.New(netCfg)
+		netCfg.Workers = t.workers[r]
+		rank, err := NewRank(topo, netCfg, cfg.Loss, cfg.Optimizer, cfg.BaseLR, cfg.ScaleLR)
 		if err != nil {
 			return nil, err
 		}
-		l, err := loss.ByName(cfg.Loss)
-		if err != nil {
-			return nil, err
-		}
-		opt, err := optim.ByName(cfg.Optimizer, lr)
-		if err != nil {
-			return nil, err
-		}
-		t.replicas = append(t.replicas, &replica{model: net, loss: l, opt: opt, workers: shares[r]})
+		t.replicas = append(t.replicas, rank)
 	}
 	return t, nil
 }
@@ -99,18 +77,21 @@ func New(cfg Config) (*Trainer, error) {
 func (t *Trainer) Replicas() int { return len(t.replicas) }
 
 // SetPhaseObserver implements train.PhaseReporter: fn receives replica 0's
-// forward/backward durations (representative — replicas run identical
-// shapes) and the trainer-wide allreduce/optim wall clock each step. Not
-// synchronized with Step — install it before training starts.
-func (t *Trainer) SetPhaseObserver(fn func(phase string, d time.Duration)) { t.phaseObs = fn }
+// forward/backward/allreduce/optim durations each step (representative —
+// replicas run identical shapes). Its allreduce phase includes waiting for
+// slower replicas to reach the ring. Not synchronized with Step — install
+// it before training starts.
+func (t *Trainer) SetPhaseObserver(fn func(phase string, d time.Duration)) {
+	t.replicas[0].SetPhaseObserver(fn)
+}
 
 // LR returns the effective (possibly scaled) learning rate.
-func (t *Trainer) LR() float64 { return t.replicas[0].opt.LR() }
+func (t *Trainer) LR() float64 { return t.replicas[0].LR() }
 
 // SetLR updates every replica's learning rate (for schedules).
 func (t *Trainer) SetLR(lr float64) {
 	for _, r := range t.replicas {
-		r.opt.SetLR(lr)
+		r.SetLR(lr)
 	}
 }
 
@@ -130,22 +111,14 @@ func (t *Trainer) Models() []*unet.UNet {
 // Synchronous SGD keeps the replicas bitwise identical, so one replica's
 // state describes them all.
 func (t *Trainer) ExportOptimState() (map[string][]float64, error) {
-	st, ok := t.replicas[0].opt.(optim.Stater)
-	if !ok {
-		return nil, fmt.Errorf("mirrored: optimizer %q does not support state export", t.replicas[0].opt.Name())
-	}
-	return st.ExportState(t.replicas[0].model.Params())
+	return t.replicas[0].ExportOptimState()
 }
 
 // ImportOptimState restores checkpointed optimizer state into every
 // replica, re-establishing the bitwise synchronization invariant.
 func (t *Trainer) ImportOptimState(state map[string][]float64) error {
 	for _, rep := range t.replicas {
-		st, ok := rep.opt.(optim.Stater)
-		if !ok {
-			return fmt.Errorf("mirrored: optimizer %q does not support state import", rep.opt.Name())
-		}
-		if err := st.ImportState(rep.model.Params(), state); err != nil {
+		if err := rep.ImportOptimState(state); err != nil {
 			return err
 		}
 	}
@@ -172,8 +145,11 @@ func (t *Trainer) BroadcastParams() {
 }
 
 // Step runs one synchronous data-parallel step on a global batch
-// ([N, C, D, H, W] inputs, [N, 1, D, H, W] masks). N must be divisible by
-// the replica count. It returns the mean replica loss.
+// ([N, C, D, H, W] inputs, [N, 1, D, H, W] masks): every replica runs its
+// Rank's Step concurrently. N must be divisible by the replica count. It
+// returns the mean replica loss. If any replica fails, the trainer closes
+// every link so that no replica waits in the ring forever, and the trainer
+// stays unusable.
 func (t *Trainer) Step(inputs, masks *tensor.Tensor) (float64, error) {
 	n := inputs.Dim(0)
 	r := len(t.replicas)
@@ -183,70 +159,37 @@ func (t *Trainer) Step(inputs, masks *tensor.Tensor) (float64, error) {
 	if masks.Dim(0) != n {
 		return 0, fmt.Errorf("mirrored: masks batch %d does not match inputs %d", masks.Dim(0), n)
 	}
-	shard := n / r
-
-	// Phase attribution: replica 0's forward/backward stand in for the
-	// fork-join compute phases (the replicas run the same shapes, so one is
-	// representative); the reduce and update phases are wall-clock over the
-	// whole trainer.
-	obs := t.phaseObs
-	losses := make([]float64, r)
-	grads := make([][]float32, r)
-	var wg sync.WaitGroup
-	wg.Add(r)
+	var (
+		loss     float64
+		firstErr error
+		once     sync.Once
+		wg       sync.WaitGroup
+	)
 	for i, rep := range t.replicas {
-		go func(i int, rep *replica) {
+		wg.Add(1)
+		go func() {
 			defer wg.Done()
-			in := shardTensor(inputs, i, shard)
-			mask := shardTensor(masks, i, shard)
-			rep.model.ZeroGrads()
-			t0 := time.Now()
-			pred := rep.model.Forward(in)
-			l, grad := rep.loss.Eval(pred, mask)
-			t1 := time.Now()
-			losses[i] = l
-			rep.model.Backward(grad)
-			t2 := time.Now()
-			grads[i] = flattenGrads(rep.model.Params())
-			if obs != nil && i == 0 {
-				obs("forward", t1.Sub(t0))
-				obs("backward", t2.Sub(t1))
+			l, err := rep.Step(inputs, masks)
+			if err != nil {
+				once.Do(func() {
+					firstErr = fmt.Errorf("mirrored: replica %d: %w", i, err)
+					// Ranks blocked in the ring fail with ErrRingBroken.
+					for _, other := range t.replicas {
+						other.topo.Close()
+					}
+				})
+				return
 			}
-		}(i, rep)
+			if i == 0 {
+				loss = l
+			}
+		}()
 	}
 	wg.Wait()
-
-	reduce := t.cfg.Reducer
-	if reduce == nil {
-		reduce = allreduce.RingAverage
+	if firstErr != nil {
+		return 0, firstErr
 	}
-	tReduce := time.Now()
-	if err := reduce(grads); err != nil {
-		return 0, err
-	}
-	if obs != nil {
-		obs("allreduce", time.Since(tReduce))
-	}
-	// Write the averaged gradients back and apply identical updates.
-	tOptim := time.Now()
-	wg.Add(r)
-	for i, rep := range t.replicas {
-		go func(i int, rep *replica) {
-			defer wg.Done()
-			unflattenGrads(rep.model.Params(), grads[i])
-			rep.opt.Step(rep.model.Params())
-		}(i, rep)
-	}
-	wg.Wait()
-	if obs != nil {
-		obs("optim", time.Since(tOptim))
-	}
-
-	var mean float64
-	for _, l := range losses {
-		mean += l
-	}
-	return mean / float64(r), nil
+	return loss, nil
 }
 
 // Evaluate computes the mean hard Dice score of the current model over a
@@ -258,7 +201,7 @@ func (t *Trainer) Evaluate(inputs, masks *tensor.Tensor) float64 {
 	// The other replicas are idle during evaluation, so replica 0 may use
 	// the trainer's whole worker budget instead of its training share.
 	m.SetWorkers(parallel.Resolve(t.cfg.Workers))
-	defer m.SetWorkers(t.replicas[0].workers)
+	defer m.SetWorkers(t.workers[0])
 	pred := m.Forward(inputs)
 	return metrics.DiceScore(pred, masks)
 }
@@ -289,16 +232,6 @@ func (t *Trainer) InSync() bool {
 func shardTensor(t *tensor.Tensor, i, shard int) *tensor.Tensor {
 	return t.Slice(i*shard, (i+1)*shard)
 }
-
-// FlattenGrads concatenates all parameter gradients into one buffer — the
-// unit of the all-reduce. Exported for the multi-process data-parallel
-// path, which reduces one process's gradients over the wire in exactly the
-// order the in-process trainer reduces its replicas'.
-func FlattenGrads(params []*nn.Param) []float32 { return flattenGrads(params) }
-
-// UnflattenGrads writes a reduced flat buffer back into parameter
-// gradients — the inverse of FlattenGrads.
-func UnflattenGrads(params []*nn.Param, flat []float32) { unflattenGrads(params, flat) }
 
 // flattenGrads concatenates all parameter gradients into one buffer, the
 // unit of the all-reduce.

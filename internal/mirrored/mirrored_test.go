@@ -1,9 +1,11 @@
 package mirrored
 
 import (
+	"errors"
 	"math"
 	"math/rand"
 	"testing"
+	"time"
 
 	"repro/internal/allreduce"
 	"repro/internal/loss"
@@ -256,22 +258,32 @@ func TestFlattenUnflattenRoundTrip(t *testing.T) {
 	}
 }
 
-func TestCustomReducerIsUsed(t *testing.T) {
-	cfg := trainerConfig(2)
-	called := false
-	cfg.Reducer = func(bufs [][]float32) error {
-		called = true
-		return allreduce.RingAverage(bufs)
-	}
-	tr, err := New(cfg)
+// TestStepFailsWhenReplicaLinksClose closes one replica's ring links
+// between steps: the next Step must return ErrRingBroken instead of leaving
+// the other replicas waiting in the ring, and so must every later Step.
+func TestStepFailsWhenReplicaLinksClose(t *testing.T) {
+	tr, err := New(trainerConfig(4))
 	if err != nil {
 		t.Fatal(err)
 	}
-	in, mask := randBatch(17, 2)
+	in, mask := randBatch(19, 4)
 	if _, err := tr.Step(in, mask); err != nil {
 		t.Fatal(err)
 	}
-	if !called {
-		t.Fatal("custom reducer not invoked")
+	tr.replicas[1].topo.Close()
+	for i := 0; i < 2; i++ {
+		done := make(chan error, 1)
+		go func() {
+			_, err := tr.Step(in, mask)
+			done <- err
+		}()
+		select {
+		case err := <-done:
+			if !errors.Is(err, allreduce.ErrRingBroken) {
+				t.Fatalf("step %d: got %v, want ErrRingBroken", i, err)
+			}
+		case <-time.After(10 * time.Second):
+			t.Fatalf("step %d hung after a replica's links closed", i)
+		}
 	}
 }

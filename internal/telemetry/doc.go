@@ -1,8 +1,8 @@
 // Package telemetry is the process-wide observability layer: a
 // concurrency-safe registry of named counters, gauges and fixed-bucket
 // histograms with Prometheus text exposition, a structured JSONL
-// trace-event stream, and the shared span-aggregation primitive the
-// pipeline profiler is built on. It is dependency-free (standard library
+// trace-event stream, and the shared span-aggregation primitive that
+// profiles the input pipeline. It is dependency-free (standard library
 // only) and sits below every other internal package, so the training
 // sessions, the serving tier, the all-reduce transport and the
 // fault-tolerant coordinator all observe themselves through one mechanism
@@ -51,7 +51,7 @@
 // # Spans
 //
 // SpanGroup aggregates named spans into per-stage totals under one
-// mutex+clock implementation; internal/profiler's bottleneck reports are
-// a thin view over it, and a SpanGroup with an attached Tracer emits
-// every ended span as a trace record too.
+// mutex+clock implementation. Stats sorts the stages by total time, so its
+// first row is the bottleneck stage; a SpanGroup with an attached Tracer
+// emits every ended span as a trace record too.
 package telemetry

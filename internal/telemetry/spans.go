@@ -6,7 +6,7 @@ import (
 )
 
 // SpanGroup aggregates named spans into per-stage totals and counts — the
-// shared timing primitive behind internal/profiler's bottleneck reports.
+// shared timing primitive; the first row of Stats is the bottleneck stage.
 // It is safe for concurrent use; the clock is injectable for deterministic
 // tests, and an attached Tracer receives every ended span as a trace
 // record.

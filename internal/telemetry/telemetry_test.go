@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"math"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -340,6 +341,37 @@ func TestSpanGroupStats(t *testing.T) {
 	g.Reset()
 	if len(g.Stats()) != 0 {
 		t.Fatal("Reset left stages behind")
+	}
+}
+
+// TestSpanGroupConcurrentUse: pipeline workers record spans concurrently;
+// no addition may be lost.
+func TestSpanGroupConcurrentUse(t *testing.T) {
+	g := NewSpanGroup()
+	var wg sync.WaitGroup
+	for i := 0; i < 16; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for j := 0; j < 100; j++ {
+				g.Add("s", time.Millisecond)
+			}
+		}()
+	}
+	wg.Wait()
+	if g.Count("s") != 1600 || g.Total("s") != 1600*time.Millisecond {
+		t.Fatalf("count %d total %v, want 1600 and 1.6s", g.Count("s"), g.Total("s"))
+	}
+}
+
+// TestSpanGroupTieOrder: stages with equal totals sort by name, so the
+// report (and its first row, the bottleneck) is deterministic.
+func TestSpanGroupTieOrder(t *testing.T) {
+	g := NewSpanGroup()
+	g.Add("b", time.Second)
+	g.Add("a", time.Second)
+	if st := g.Stats(); st[0].Stage != "a" || st[1].Stage != "b" {
+		t.Fatalf("tie order = %+v, want a before b", st)
 	}
 }
 

@@ -14,9 +14,10 @@ import (
 
 // Strategy is the pluggable distribution strategy a Session drives: it owns
 // the model replicas and applies one synchronous optimization step per
-// global batch. mirrored.Trainer satisfies it (synchronous data parallelism
-// with ring or hierarchical all-reduce), as does Single below (the paper's
-// sequential case). Implementations must keep Step deterministic for a
+// global batch. mirrored.Trainer satisfies it (synchronous data parallelism:
+// R ranks over in-process ring or hierarchical all-reduce links), as do
+// mirrored.Rank (one rank of a membership, over TCP in internal/dist) and
+// Single below (the paper's sequential case). Implementations must keep Step deterministic for a
 // fixed input — the checkpoint layer depends on replayed steps being
 // bit-identical.
 type Strategy interface {
