@@ -7,12 +7,11 @@
 // worker pool, a cache-blocked register-tiled GEMM microkernel with
 // pluggable panel packing and the 3D CNN layers running on either the
 // im2col+GEMM or the direct convolution engine (tensor, parallel, gemm,
-// nn — the GEMM training path materializes each layer's patch matrices
-// once per step into a pooled cache that backward reuses, the inference
-// path streams them straight into the packing panels, and
-// backward-weights reduces per-sample partial products so its parallelism
-// scales with the batch; REPRO_CONV_ENGINE=gemm|direct selects the
-// engine), the paper's 3D U-Net (unet), Dice losses and optimizers (loss, optim, metrics), the data path
+// nn — the GEMM path never materializes a patch matrix: the forward and
+// backward-weights GEMMs stream patches from a zero-bordered copy of the
+// input into the packing panels, and backward-weights reduces per-sample
+// partial products so its parallelism scales with the batch;
+// REPRO_CONV_ENGINE=gemm|direct selects the engine), the paper's 3D U-Net (unet), Dice losses and optimizers (loss, optim, metrics), the data path
 // from NIfTI phantoms to TFRecords and tf.Data-style pipelines (msd, nifti,
 // volume, record, pipeline), the unified training-orchestration
 // layer — one Session loop over pluggable strategies with an ordered

@@ -24,9 +24,10 @@
 // skip materializing it entirely. Because the packed panel contents are
 // identical either way, GemmPackB is bit-for-bit equal to Gemm over the
 // materialized matrix. GemmBatch runs `count` independent same-shape
-// products with the parallel partition over (instance × column block)
-// pairs, lifting the parallel degree of many-small-GEMM callers (the
-// convolution backward-weights pass) past the per-product block count.
+// products, each with its own PackBFunc, with the parallel partition over
+// (instance × column block) pairs, lifting the parallel degree of
+// many-small-GEMM callers (the convolution backward-weights pass, whose B
+// is the transposed virtual patch matrix) past the per-product block count.
 //
 // The packing panels come from the tensor scratch pool, so steady-state
 // callers allocate nothing.
@@ -83,11 +84,18 @@ func Gemm(transA, transB bool, m, n, k int,
 	a []float32, lda int, b []float32, ldb int,
 	accumulate bool, c []float32, ldc int, workers int) {
 
-	GemmPackB(transA, m, n, k, a, lda,
-		func(p0, pw, j0, jw int, dst []float32) {
-			packB(transB, b, ldb, p0, pw, j0, jw, dst)
-		},
+	GemmPackB(transA, m, n, k, a, lda, DensePackB(transB, b, ldb),
 		accumulate, c, ldc, workers)
+}
+
+// DensePackB returns the PackBFunc of a dense row-major operand: op(B) is
+// b (k×n, leading dimension ldb) or, when trans is true, bᵀ with b stored
+// n×k. It is the packer Gemm uses; GemmBatch callers whose B operands are
+// plain matrices pass it per instance.
+func DensePackB(trans bool, b []float32, ldb int) PackBFunc {
+	return func(p0, pw, j0, jw int, dst []float32) {
+		packB(trans, b, ldb, p0, pw, j0, jw, dst)
+	}
 }
 
 // GemmPackB is Gemm with the B operand supplied as a PackBFunc instead of
@@ -153,15 +161,18 @@ func columnBlock(jb int, transA bool, m, n, k int,
 
 // GemmBatch computes count independent, same-shape products
 // C[i] = op(A[i])·op(B[i]) (or += when accumulate is true): the operands of
-// instance i are fetched through the a/b/c accessors. The parallel
+// instance i are fetched through the a/b/c accessors, op(B[i]) as the
+// instance's PackBFunc (DensePackB for a dense matrix; the accessor is
+// called once per work item, so it should return a prebuilt packer rather
+// than allocate one). The parallel
 // partition is over (instance × column block) pairs, so the parallel
 // degree is count × ⌈n/ncBlock⌉ — this is what lets the convolution
 // backward-weights pass scale with the batch size when its per-product
 // column count fits in one or two blocks. Each C element is still owned by
 // exactly one worker and accumulated in a shape-only order, so results are
-// bit-for-bit identical to count sequential Gemm calls at any budget.
-func GemmBatch(count int, transA, transB bool, m, n, k int,
-	a func(int) []float32, lda int, b func(int) []float32, ldb int,
+// bit-for-bit identical to count sequential GemmPackB calls at any budget.
+func GemmBatch(count int, transA bool, m, n, k int,
+	a func(int) []float32, lda int, b func(int) PackBFunc,
 	accumulate bool, c func(int) []float32, ldc int, workers int) {
 
 	if count <= 0 || m <= 0 || n <= 0 {
@@ -190,12 +201,8 @@ func GemmBatch(count int, transA, transB bool, m, n, k int,
 		defer tensor.PutScratch(packedA)
 		for item := lo; item < hi; item++ {
 			i, jb := item/nBlocks, item%nBlocks
-			ai, bi, ci := a(i), b(i), c(i)
-			columnBlock(jb, transA, m, n, k, ai, lda,
-				func(p0, pw, j0, jw int, dst []float32) {
-					packB(transB, bi, ldb, p0, pw, j0, jw, dst)
-				},
-				accumulate, ci, ldc, packedA, packedB)
+			columnBlock(jb, transA, m, n, k, a(i), lda, b(i),
+				accumulate, c(i), ldc, packedA, packedB)
 		}
 	})
 }

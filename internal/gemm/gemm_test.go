@@ -178,7 +178,10 @@ func TestGemmPackBMatchesDense(t *testing.T) {
 
 // TestGemmBatchMatchesSequential asserts GemmBatch is bit-for-bit equal to
 // count sequential Gemm calls, at any worker budget — what makes the
-// batch-parallel backward-weights pass worker-count invariant.
+// batch-parallel backward-weights pass worker-count invariant. Each
+// instance's B is supplied both as DensePackB and as a virtual packer that
+// writes every panel element from its (row, column) coordinates, the way
+// the convolution engine's im2col packers do.
 func TestGemmBatchMatchesSequential(t *testing.T) {
 	const count, m, n, k = 5, 16, 216, 300 // backward-weights-like: n fits one block
 	rng := rand.New(rand.NewSource(13))
@@ -193,21 +196,43 @@ func TestGemmBatchMatchesSequential(t *testing.T) {
 		want[i] = append([]float32(nil), seed[i]...)
 		Gemm(false, true, m, n, k, as[i], k, bs[i], k, true, want[i], n, 1)
 	}
-	for _, workers := range []int{1, 2, 7, 16} {
-		got := make([][]float32, count)
-		for i := range got {
-			got[i] = append([]float32(nil), seed[i]...)
+	virtual := func(b []float32) PackBFunc {
+		return func(p0, pw, j0, jw int, dst []float32) {
+			for jp := 0; jp*PanelCols < jw; jp++ {
+				for p := 0; p < pw; p++ {
+					for jj := 0; jj < PanelCols; jj++ {
+						var v float32
+						if j := jp*PanelCols + jj; j < jw {
+							v = b[(j0+j)*k+p0+p] // op(B)[p0+p, j0+j] of the n×k store
+						}
+						dst[jp*pw*PanelCols+p*PanelCols+jj] = v
+					}
+				}
+			}
 		}
-		GemmBatch(count, false, true, m, n, k,
-			func(i int) []float32 { return as[i] }, k,
-			func(i int) []float32 { return bs[i] }, k,
-			true,
-			func(i int) []float32 { return got[i] }, n, workers)
-		for i := range want {
-			for j := range want[i] {
-				if got[i][j] != want[i][j] {
-					t.Fatalf("workers=%d: instance %d element %d = %v, want %v (bit-for-bit)",
-						workers, i, j, got[i][j], want[i][j])
+	}
+	packers := map[string][]PackBFunc{}
+	for i := range bs {
+		packers["dense"] = append(packers["dense"], DensePackB(true, bs[i], k))
+		packers["virtual"] = append(packers["virtual"], virtual(bs[i]))
+	}
+	for name, packs := range packers {
+		for _, workers := range []int{1, 2, 7, 16} {
+			got := make([][]float32, count)
+			for i := range got {
+				got[i] = append([]float32(nil), seed[i]...)
+			}
+			GemmBatch(count, false, m, n, k,
+				func(i int) []float32 { return as[i] }, k,
+				func(i int) PackBFunc { return packs[i] },
+				true,
+				func(i int) []float32 { return got[i] }, n, workers)
+			for i := range want {
+				for j := range want[i] {
+					if got[i][j] != want[i][j] {
+						t.Fatalf("%s packer, workers=%d: instance %d element %d = %v, want %v (bit-for-bit)",
+							name, workers, i, j, got[i][j], want[i][j])
+					}
 				}
 			}
 		}

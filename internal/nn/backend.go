@@ -71,7 +71,7 @@ func (c *ConvTranspose3D) Spec() ConvSpec {
 }
 
 // Backend implements the four convolution compute paths. Methods receive the
-// owning layer (for parameters, worker budget and per-layer caches) plus
+// owning layer (for parameters, worker budget and the retained input) plus
 // caller-allocated output tensors, and must uphold the registry's
 // determinism contract (see the package comment above).
 type Backend interface {
@@ -84,16 +84,14 @@ type Backend interface {
 	Supports(spec ConvSpec) bool
 
 	// ConvForward computes the forward convolution of x into out (every
-	// element is written). When train is true this is a training forward:
-	// the backend may fill per-layer caches that the following backward
-	// pass reuses (the gemm backend materializes the batch's im2col patch
-	// matrices). When false (evaluation / inference fast path) the backend
-	// must retain nothing.
-	ConvForward(c *Conv3D, x, out *tensor.Tensor, train bool)
+	// element is written), retaining nothing: training and inference
+	// forwards are the same call.
+	ConvForward(c *Conv3D, x, out *tensor.Tensor)
 
-	// ConvBackwardWeights accumulates the kernel gradient of the cached
-	// forward input onto c.W.Grad. (The bias gradient is engine-invariant
-	// and accumulated by the layer itself before this call.)
+	// ConvBackwardWeights accumulates the kernel gradient of the retained
+	// forward input onto c.W.Grad, whichever backend ran the forward. (The
+	// bias gradient is engine-invariant and accumulated by the layer itself
+	// before this call.)
 	ConvBackwardWeights(c *Conv3D, gradOut *tensor.Tensor)
 
 	// ConvBackwardInput accumulates dL/d(input) into the zeroed gradIn.

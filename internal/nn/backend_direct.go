@@ -14,7 +14,7 @@ func (directBackend) Name() string { return "direct" }
 
 func (directBackend) Supports(ConvSpec) bool { return true }
 
-func (directBackend) ConvForward(c *Conv3D, x, out *tensor.Tensor, train bool) {
+func (directBackend) ConvForward(c *Conv3D, x, out *tensor.Tensor) {
 	c.forwardDirectInto(x, out)
 }
 

@@ -3,10 +3,10 @@ package nn
 import "repro/internal/tensor"
 
 // gemmBackend lowers every conv path to im2col + blocked GEMM
-// (conv3d_gemm.go, convtranspose3d_gemm.go) — the default backend. Training
-// forwards materialize the batch's patch matrices into the layer's pooled
-// cache for the backward pass to reuse; evaluation forwards take the
-// fused-packing path and retain nothing. Outputs are bit-for-bit independent
+// (conv3d_gemm.go, convtranspose3d_gemm.go) — the default backend. The
+// patch matrices are packed straight from the input into the GEMM panels in
+// both the forward and the backward-weights pass; no layer keeps them
+// between passes. Outputs are bit-for-bit independent
 // of the worker budget and match the direct reference within the documented
 // ULP bounds. It supports every shape and is the first fallback for
 // shape-specialized backends.
@@ -16,11 +16,7 @@ func (gemmBackend) Name() string { return "gemm" }
 
 func (gemmBackend) Supports(ConvSpec) bool { return true }
 
-func (gemmBackend) ConvForward(c *Conv3D, x, out *tensor.Tensor, train bool) {
-	if train {
-		c.forwardGEMMTrain(x, out)
-		return
-	}
+func (gemmBackend) ConvForward(c *Conv3D, x, out *tensor.Tensor) {
 	c.forwardGEMMInto(x, out)
 }
 

@@ -169,17 +169,15 @@ func BenchmarkConv3DBackwardWeights(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
 	x := tensor.Randn(rng, 0, 1, batch, benchIC, benchDim, benchDim, benchDim)
 	g := tensor.Randn(rng, 0, 1, batch, benchOC, benchDim, benchDim, benchDim)
-	const cols = benchDim * benchDim * benchDim
-	const kdim = benchIC * 27
 	for _, w := range budgets() {
 		b.Run(fmt.Sprintf("workers=%d", w), func(b *testing.B) {
 			c := NewConv3D("c", benchIC, benchOC, 3, rand.New(rand.NewSource(2)))
 			c.SetConvEngine(EngineGEMM)
 			c.SetWorkers(w)
-			c.Forward(x) // fills the patch cache the pass reads
+			c.Forward(x) // retains the input the pass packs its patches from
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				c.backwardWeightsGEMM(g.Data(), x.Data(), batch, benchIC, cols, kdim, w)
+				c.weightGradGEMM(g)
 			}
 		})
 	}
@@ -206,9 +204,9 @@ func BenchmarkConv3DBackwardInput(b *testing.B) {
 	}
 }
 
-// BenchmarkConv3DInfer measures the im2col-free fused-packing forward (the
-// inference fast path) against the materializing training forward
-// (BenchmarkConv3DForward engine=gemm).
+// BenchmarkConv3DInfer measures the fused-packing forward on the inference
+// path (pool-backed output, no retained input); BenchmarkConv3DForward
+// engine=gemm runs the same kernel through Forward.
 func BenchmarkConv3DInfer(b *testing.B) {
 	x := benchInput(1, benchIC)
 	for _, w := range budgets() {

@@ -26,6 +26,11 @@ import (
 // slabs). Every float is accumulated in exactly the order of the serial
 // reference, so direct results are bit-for-bit identical to the serial
 // kernels for any worker budget — see TestConv3DParallelMatchesSerial.
+//
+// Between Forward and Backward the layer keeps only a reference to its
+// input: no backend caches anything derived from it (the gemm backward
+// re-packs its patches from the input), and the forward is the same call
+// in training and evaluation.
 type Conv3D struct {
 	workerBudget
 	engineChoice
@@ -37,26 +42,10 @@ type Conv3D struct {
 	W *Param // [OC, IC, K, K, K]
 	B *Param // [OC]
 
-	input *tensor.Tensor // cached for backward
-
-	// training gates the patch cache: evaluation-mode forwards (validation
-	// epochs run whole volumes, far larger than training batches) must not
-	// fill — or grow — a cache that only Backward reads. NewConv3D starts
-	// in training mode; SetTraining toggles it (Sequential/unet forward the
-	// flag).
-	training bool
-
-	// patchCache holds the im2col patch matrices of the whole batch from
-	// the last GEMM-backend training forward ([N × IC·K³ × D·H·W], claimed
-	// from the scratch pool and retained), so backward-weights reuses them
-	// instead of recomputing im2col. patchCacheOf is the input tensor the
-	// cache describes — the staleness token consulted by weightGradGEMM.
-	patchCache   []float32
-	patchCacheOf *tensor.Tensor
-
-	// taps is the lazily-built per-tap offset table of the fused packer
-	// (the kernel edge is fixed per layer).
-	taps *tapOffsets
+	// input is the last Forward's input, retained for Backward: the GEMM
+	// backward-weights pass re-packs the patches from it, so it is the only
+	// per-step state the layer holds.
+	input *tensor.Tensor
 }
 
 // NewConv3D creates a stride-1 same-padded cubic convolution. Weights are
@@ -76,39 +65,16 @@ func NewConv3D(name string, inC, outC, kernel int, rng *rand.Rand) *Conv3D {
 		Kernel:      kernel,
 		W:           NewParam(name+".w", w),
 		B:           NewParam(name+".b", b),
-		training:    true,
 	}
 }
 
 // Params returns the kernel and bias parameters.
 func (c *Conv3D) Params() []*Param { return []*Param{c.W, c.B} }
 
-// SetTraining toggles training mode. In evaluation mode the GEMM forward
-// takes the fused-packing path (no patch-matrix materialization) instead
-// of filling the backward patch cache — values are bit-for-bit identical
-// either way — and the cache itself is released back to the scratch pool,
-// so a model kept for inference pins no K³×-activation buffers. The next
-// training forward re-claims it (from the pool: no fresh allocation in
-// the usual train/eval/train cadence).
-func (c *Conv3D) SetTraining(training bool) {
-	c.training = training
-	if !training {
-		tensor.PutScratch(c.patchCache)
-		c.patchCache = nil
-		c.patchCacheOf = nil
-	}
-}
-
-// DropCaches implements CacheDropper: the persistent backward patch cache
-// returns to the scratch pool (it is the layer's dominant retained buffer,
-// IC·K³ × D·H·W floats per sample of the largest training batch seen) and
-// the retained input reference is dropped. The next training forward
-// re-claims the cache from the pool; a Backward without an intervening
-// Forward is invalid after this call, as it is before any Forward.
+// DropCaches implements CacheDropper: the retained input reference is
+// dropped. A Backward without an intervening Forward is invalid after this
+// call, as it is before any Forward.
 func (c *Conv3D) DropCaches() {
-	tensor.PutScratch(c.patchCache)
-	c.patchCache = nil
-	c.patchCacheOf = nil
 	c.input = nil
 }
 
@@ -118,7 +84,7 @@ func (c *Conv3D) Forward(x *tensor.Tensor) *tensor.Tensor {
 	n, _, d, h, w := check5D("Conv3D", x)
 	c.input = x
 	out := tensor.New(n, c.OutChannels, d, h, w)
-	ResolveBackend(c.engine, c.Spec()).ConvForward(c, x, out, c.training)
+	ResolveBackend(c.engine, c.Spec()).ConvForward(c, x, out)
 	return out
 }
 

@@ -15,19 +15,16 @@ import (
 //	backward-weights: gW     += gOut[n]·Pᵀ
 //	backward-input:   gP      = Wᵀ·gOut[n],  gIn[n] = col2im(gP)
 //
-// P is handled differently per path:
-//
-//   - The training forward materializes the patch matrices of the whole
-//     batch once into a persistent, pooled per-layer cache, which the
-//     backward pass reuses — the im2col work is done once per step instead
-//     of once per pass. The cache costs IC·K³ × D·H·W floats per sample
-//     (K³× the input activation) and lives until the layer sees a larger
-//     input or is collected.
-//   - The inference fast path (forwardGEMMInto, under Infer and evaluation
-//     forwards) fuses im2col into the GEMM's B-panel packer (im2colPackB):
-//     patches stream directly into the packed panels and no patch matrix is
-//     ever materialized. The packed panels are identical either way, so both
-//     paths produce bit-for-bit identical outputs.
+// P is never materialized. Both GEMMs that read it take their B operand as
+// a gemm.PackBFunc that streams patches into the packed panels from a
+// zero-bordered copy of the input (padVolume, input-sized and pooled for
+// the pass): im2colPackB for the forward (training and inference alike)
+// and im2colPackBT, its transpose, for backward-weights, which pads the
+// input the layer retained at Forward. Every packed element is the same
+// input load or padding zero that packing a materialized P would copy, so
+// the results are bit-for-bit those of Gemm over P — and a layer holds no
+// K³×-activation buffer between forward and backward. A 1×1×1 convolution
+// needs no patches at all: the input slab already is P.
 //
 // Backward-weights runs as per-sample partial products (gemm.GemmBatch,
 // parallel over sample × column block) reduced onto gW in ascending sample
@@ -36,68 +33,9 @@ import (
 // gW element still sees a fixed, budget-independent accumulation order.
 //
 // Scratch buffers and the GEMM packing panels all come from the tensor
-// scratch pool, and the patch cache is claimed from it once and retained,
-// so a steady-state training step performs no allocations here. A 1×1×1
-// convolution needs no patch matrix at all — the input slab already is P.
-
-// forwardGEMMTrain is the training forward: im2col + GEMM into the
-// caller-provided output, materializing the batch's patch matrices into the
-// per-layer cache for the backward pass to reuse.
-func (c *Conv3D) forwardGEMMTrain(x, out *tensor.Tensor) {
-	n, ic, d, h, w := check5D("Conv3D", x)
-	if ic != c.InChannels {
-		panic(fmt.Sprintf("nn: Conv3D expects %d input channels, got %d", c.InChannels, ic))
-	}
-	k := c.Kernel
-	p := k / 2
-	oc := c.OutChannels
-	cols := d * h * w
-	kdim := ic * k * k * k
-	workers := c.workers
-
-	xd := x.Data()
-	od := out.Data()
-	wd := c.W.Value.Data()
-
-	if k > 1 {
-		c.fillPatchCache(xd, x, n, ic, d, h, w, k, p, workers)
-	}
-	for ni := 0; ni < n; ni++ {
-		pm := c.patchSlab(xd, ni, ic, cols, kdim)
-		oSlab := od[ni*oc*cols : (ni+1)*oc*cols]
-		c.seedBias(oSlab, oc, cols)
-		gemm.Gemm(false, false, oc, cols, kdim, wd, kdim, pm, cols, true, oSlab, cols, workers)
-	}
-}
-
-// fillPatchCache sizes the persistent patch cache for an n-sample batch and
-// fills it with im2col of every sample. The buffer is claimed from the
-// scratch pool once and retained across steps; it is only re-claimed when a
-// larger batch arrives.
-func (c *Conv3D) fillPatchCache(xd []float32, x *tensor.Tensor, n, ic, d, h, w, k, p, workers int) {
-	cols := d * h * w
-	kdim := ic * k * k * k
-	need := n * kdim * cols
-	if cap(c.patchCache) < need {
-		tensor.PutScratch(c.patchCache)
-		c.patchCache = tensor.GetScratch(need)
-	}
-	c.patchCache = c.patchCache[:need]
-	c.patchCacheOf = x
-	for ni := 0; ni < n; ni++ {
-		im2col(xd[ni*ic*cols:(ni+1)*ic*cols], ic, d, h, w, k, p,
-			c.patchCache[ni*kdim*cols:(ni+1)*kdim*cols], workers)
-	}
-}
-
-// patchSlab returns sample ni's patch matrix: the input slab itself at
-// 1×1×1, the cache slab otherwise (fillPatchCache must have run).
-func (c *Conv3D) patchSlab(xd []float32, ni, ic, cols, kdim int) []float32 {
-	if c.Kernel == 1 {
-		return xd[ni*ic*cols : (ni+1)*ic*cols]
-	}
-	return c.patchCache[ni*kdim*cols : (ni+1)*kdim*cols]
-}
+// scratch pool and go back to it before each pass returns, so a
+// steady-state training step performs no scratch allocations here and
+// retains nothing pooled between steps.
 
 // seedBias fills an output slab with the per-channel bias so the GEMM
 // accumulates onto it, keeping the bias first in each element's sum like
@@ -115,16 +53,14 @@ func (c *Conv3D) seedBias(oSlab []float32, oc, cols int) {
 
 // forwardGEMMInto runs the GEMM forward kernel into a caller-provided output
 // tensor (every element is written: bias seed, then GEMM accumulation),
-// retaining nothing — the inference fast path. im2col is fused into the
-// GEMM's B-panel packer, so no patch matrix is materialized; outputs are
-// bit-for-bit identical to the training forward's.
+// retaining nothing. im2col is fused into the GEMM's B-panel packer, so no
+// patch matrix is materialized.
 func (c *Conv3D) forwardGEMMInto(x, out *tensor.Tensor) {
 	n, ic, d, h, w := check5D("Conv3D", x)
 	if ic != c.InChannels {
 		panic(fmt.Sprintf("nn: Conv3D expects %d input channels, got %d", c.InChannels, ic))
 	}
 	k := c.Kernel
-	p := k / 2
 	oc := c.OutChannels
 
 	xd := x.Data()
@@ -135,6 +71,14 @@ func (c *Conv3D) forwardGEMMInto(x, out *tensor.Tensor) {
 	kdim := ic * k * k * k
 	workers := c.workers
 
+	// The samples run one after another, so one padded slab serves them all.
+	var xpad []float32
+	var taps []int
+	if k > 1 {
+		xpad = tensor.GetScratch(ic * (d + k - 1) * (h + k - 1) * (w + k - 1))
+		defer tensor.PutScratch(xpad)
+		taps = paddedTaps(k, h, w)
+	}
 	for ni := 0; ni < n; ni++ {
 		xSlab := xd[ni*ic*cols : (ni+1)*ic*cols]
 		oSlab := od[ni*oc*cols : (ni+1)*oc*cols]
@@ -144,53 +88,54 @@ func (c *Conv3D) forwardGEMMInto(x, out *tensor.Tensor) {
 			gemm.Gemm(false, false, oc, cols, kdim, wd, kdim, xSlab, cols, true, oSlab, cols, workers)
 			continue
 		}
-		if c.taps == nil {
-			c.taps = newTapOffsets(k, p)
-		}
+		padVolume(xSlab, ic, d, h, w, k, xpad)
 		gemm.GemmPackB(false, oc, cols, kdim, wd, kdim,
-			im2colPackB(xSlab, ic, d, h, w, k, p, c.taps), true, oSlab, cols, workers)
+			im2colPackB(xpad, d, h, w, k, taps), true, oSlab, cols, workers)
 	}
 }
 
-// weightGradGEMM is the GEMM kernel-gradient pass. The patch matrices are
-// normally the cache filled by forwardGEMMTrain; a stale cache (the backend
-// was switched after the forward, an eval forward preceded Backward, or a
-// delegating backend ran its own forward kernels) is rebuilt from the
-// retained input first.
+// weightGradGEMM is the GEMM kernel-gradient pass: per-sample partials
+// gOut[n]·Pᵀ in parallel over (sample × column block), with Pᵀ packed from
+// a padded copy of the retained input, then gW += partials in ascending
+// sample order per element. Each sample's packer is built once per call,
+// so the GEMM work items allocate nothing.
 func (c *Conv3D) weightGradGEMM(gradOut *tensor.Tensor) {
 	x := c.input
 	n, ic, d, h, w := check5D("Conv3D.Backward", x)
 	k := c.Kernel
-	p := k / 2
+	oc := c.OutChannels
 	cols := d * h * w
 	kdim := ic * k * k * k
 	workers := c.workers
+
 	xd := x.Data()
-
-	if k > 1 && (c.patchCacheOf != x || len(c.patchCache) != n*kdim*cols) {
-		c.fillPatchCache(xd, x, n, ic, d, h, w, k, p, workers)
+	god := gradOut.Data()
+	packs := make([]gemm.PackBFunc, n)
+	if k == 1 {
+		for ni := range packs {
+			packs[ni] = gemm.DensePackB(true, xd[ni*ic*cols:(ni+1)*ic*cols], cols)
+		}
+	} else {
+		// GemmBatch packs every sample concurrently: one padded slab each.
+		padLen := ic * (d + k - 1) * (h + k - 1) * (w + k - 1)
+		padded := tensor.GetScratch(n * padLen)
+		defer tensor.PutScratch(padded)
+		taps := paddedTaps(k, h, w)
+		for ni := range packs {
+			xpad := padded[ni*padLen : (ni+1)*padLen]
+			padVolume(xd[ni*ic*cols:(ni+1)*ic*cols], ic, d, h, w, k, xpad)
+			packs[ni] = im2colPackBT(xpad, d, h, w, k, taps)
+		}
 	}
-	c.backwardWeightsGEMM(gradOut.Data(), xd, n, ic, cols, kdim, workers)
-}
-
-// backwardWeightsGEMM is the isolated kernel-gradient pass: per-sample
-// partials gOut[n]·Pᵀ in parallel over (sample × column block), then
-// gW += partials in ascending sample order per element. The patch cache
-// must be current (weightGradGEMM guarantees it). Split out so the pass can
-// be benchmarked on its own — its parallel degree is the batch-scaling
-// claim of the fused training path.
-func (c *Conv3D) backwardWeightsGEMM(god, xd []float32, n, ic, cols, kdim, workers int) {
-	oc := c.OutChannels
-	gwd := c.W.Grad.Data()
 	partials := tensor.GetScratch(n * oc * kdim)
 	defer tensor.PutScratch(partials)
-	gemm.GemmBatch(n, false, true, oc, kdim, cols,
+	gemm.GemmBatch(n, false, oc, kdim, cols,
 		func(ni int) []float32 { return god[ni*oc*cols : (ni+1)*oc*cols] }, cols,
-		func(ni int) []float32 { return c.patchSlab(xd, ni, ic, cols, kdim) }, cols,
+		func(ni int) gemm.PackBFunc { return packs[ni] },
 		false,
 		func(ni int) []float32 { return partials[ni*oc*kdim : (ni+1)*oc*kdim] }, kdim,
 		workers)
-	reduceWeightPartials(gwd, partials, n, oc*kdim, workers)
+	reduceWeightPartials(c.W.Grad.Data(), partials, n, oc*kdim, workers)
 }
 
 // inputGradGEMM is the GEMM input-gradient pass: per sample, gP = Wᵀ·gOut[n]

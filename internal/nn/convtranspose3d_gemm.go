@@ -135,9 +135,13 @@ func (c *ConvTranspose3D) backwardGEMMInto(gradOut, gradIn *tensor.Tensor) {
 	// order per element (see conv3d_gemm.go).
 	partials := tensor.GetScratch(n * ic * rows)
 	defer tensor.PutScratch(partials)
-	gemm.GemmBatch(n, false, true, ic, rows, inCols,
+	packs := make([]gemm.PackBFunc, n)
+	for ni := range packs {
+		packs[ni] = gemm.DensePackB(true, gradCols[ni*rows*inCols:(ni+1)*rows*inCols], inCols)
+	}
+	gemm.GemmBatch(n, false, ic, rows, inCols,
 		func(ni int) []float32 { return xd[ni*ic*inCols : (ni+1)*ic*inCols] }, inCols,
-		func(ni int) []float32 { return gradCols[ni*rows*inCols : (ni+1)*rows*inCols] }, inCols,
+		func(ni int) gemm.PackBFunc { return packs[ni] },
 		false,
 		func(ni int) []float32 { return partials[ni*ic*rows : (ni+1)*ic*rows] }, rows,
 		workers)

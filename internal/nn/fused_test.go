@@ -4,20 +4,51 @@ import (
 	"math/rand"
 	"testing"
 
+	"repro/internal/gemm"
 	"repro/internal/tensor"
 )
 
-// Tests for the fused-packing GEMM training path: the im2col-free forward
-// (patches streamed straight into the GEMM packing panels) must be
-// bit-for-bit identical to the materialized-patch-matrix training forward,
-// and the per-layer patch cache must survive shape changes and engine
-// switches without corrupting gradients.
+// Tests for the fused-packing GEMM path: the forward and the
+// backward-weights pass stream patches from a zero-bordered copy of the
+// input into the GEMM packing panels (im2colPackB, im2colPackBT), and must
+// be bit-for-bit identical to GEMMs over a materialized patch matrix —
+// across shape changes and engine switches, with no state kept between
+// passes but the retained input.
 
-// TestFusedPackingMatchesMaterialized compares the inference fast path
-// (fused packing, no patch matrix) against the training forward
-// (materialized patch cache) element-for-element at several worker
-// budgets, and both against the direct serial reference within the engine
-// tolerance.
+// naivePatches builds the im2col patch matrix of one sample's input slab
+// ([ic, d, h, w]) element by element from its definition: row
+// (ici, kz, ky, kx), column (z, y, x), value x[ici, z+kz-p, y+ky-p, x+kx-p]
+// or 0 in the padding.
+func naivePatches(x []float32, ic, d, h, w, k int) []float32 {
+	p := k / 2
+	cols := d * h * w
+	out := make([]float32, ic*k*k*k*cols)
+	for ici := 0; ici < ic; ici++ {
+		for kz := 0; kz < k; kz++ {
+			for ky := 0; ky < k; ky++ {
+				for kx := 0; kx < k; kx++ {
+					row := out[(((ici*k+kz)*k+ky)*k+kx)*cols:]
+					for z := 0; z < d; z++ {
+						for y := 0; y < h; y++ {
+							for xx := 0; xx < w; xx++ {
+								iz, iy, ix := z+kz-p, y+ky-p, xx+kx-p
+								if iz >= 0 && iz < d && iy >= 0 && iy < h && ix >= 0 && ix < w {
+									row[(z*h+y)*w+xx] = x[ici*cols+(iz*h+iy)*w+ix]
+								}
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+	return out
+}
+
+// TestFusedPackingMatchesMaterialized checks the layer's forward and kernel
+// gradient element-for-element against an independent oracle — gemm.Gemm
+// over naivePatches — at several worker budgets, and the forward against
+// the direct serial reference within the engine tolerance.
 func TestFusedPackingMatchesMaterialized(t *testing.T) {
 	cases := []struct {
 		name         string
@@ -27,39 +58,69 @@ func TestFusedPackingMatchesMaterialized(t *testing.T) {
 		{"body3x3x3", 3, 5, 3, 2, 6, 5, 7},
 		{"head1x1x1", 4, 1, 1, 2, 5, 3, 7},
 		{"kernel5", 2, 3, 5, 1, 7, 5, 9},
+		// w = 1 < |dx| = 2: the outer taps read nothing but padding — an
+		// empty valid x-range, which must not form a negative slice bound.
 		{"kernel5narrow", 1, 2, 5, 1, 4, 4, 1},
 		{"bigvolume", 2, 4, 3, 1, 8, 9, 10}, // cols spans multiple ncBlocks
 		// kdim = 4·5³ = 500 > kcBlock: the second K slice starts mid-tap
 		// with dx = +2, driving the packed run's valid x-range negative at
 		// the row tail (regression test for an out-of-range panel write).
 		{"kernel5deepK", 4, 2, 5, 1, 5, 5, 5},
+		// w = 300: the backward-weights K slices (384 voxels each) start
+		// mid-row — the second at x = 84 of row 1.
+		{"midrowKslice", 3, 7, 3, 3, 17, 3, 300},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			rng := rand.New(rand.NewSource(41))
 			x := randTensor(rng, tc.n, tc.inC, tc.d, tc.h, tc.w)
+			gradOut := randTensor(rng, tc.n, tc.outC, tc.d, tc.h, tc.w)
 
 			ref := NewConv3D("ref", tc.inC, tc.outC, tc.k, rand.New(rand.NewSource(6)))
+			for i := range ref.B.Value.Data() {
+				ref.B.Value.Data()[i] = float32(i) - 0.5 // a nonzero bias seed
+			}
 			refOut := ref.forwardSerial(x)
+
+			// The oracle: per sample, out = b + W·P and gW += gOut·Pᵀ over
+			// the materialized P, partials summed in ascending sample order.
+			cols := tc.d * tc.h * tc.w
+			kdim := tc.inC * tc.k * tc.k * tc.k
+			xd, god, wd := x.Data(), gradOut.Data(), ref.W.Value.Data()
+			wantOut := make([]float32, tc.n*tc.outC*cols)
+			wantGW := make([]float32, tc.outC*kdim)
+			part := make([]float32, tc.outC*kdim)
+			for ni := 0; ni < tc.n; ni++ {
+				pm := naivePatches(xd[ni*tc.inC*cols:(ni+1)*tc.inC*cols], tc.inC, tc.d, tc.h, tc.w, tc.k)
+				o := wantOut[ni*tc.outC*cols : (ni+1)*tc.outC*cols]
+				ref.seedBias(o, tc.outC, cols)
+				gemm.Gemm(false, false, tc.outC, cols, kdim, wd, kdim, pm, cols, true, o, cols, 1)
+				gemm.Gemm(false, true, tc.outC, kdim, cols, god[ni*tc.outC*cols:], cols, pm, cols, false, part, kdim, 1)
+				for j := range wantGW {
+					wantGW[j] += part[j]
+				}
+			}
 
 			for _, workers := range []int{1, 2, 7} {
 				c := NewConv3D("c", tc.inC, tc.outC, tc.k, rand.New(rand.NewSource(6)))
+				c.B.Value.CopyFrom(ref.B.Value)
 				c.SetConvEngine(EngineGEMM)
 				c.SetWorkers(workers)
-				trained := c.Forward(x) // materialized patch cache
-				fused := tensor.New(trained.Shape()...)
-				c.forwardGEMMInto(x, fused) // fused packing
-				assertBitEqual(t, "fused vs materialized", workers, trained.Data(), fused.Data())
-				assertWithinULP(t, "fused vs serial", workers, refOut.Data(), fused.Data(), forwardMaxULP)
+				out := c.Forward(x)
+				c.Backward(gradOut)
+				assertBitEqual(t, "forward vs materialized oracle", workers, wantOut, out.Data())
+				assertBitEqual(t, "kernel grad vs materialized oracle", workers, wantGW, c.W.Grad.Data())
+				assertWithinULP(t, "fused vs serial", workers, refOut.Data(), out.Data(), forwardMaxULP)
 			}
 		})
 	}
 }
 
-// TestEvalForwardFillsNoPatchCache asserts evaluation-mode forwards take
-// the fused path: no patch cache is claimed or grown (validation volumes
-// are typically far larger than training batches), and the output stays
-// bit-for-bit equal to the training forward's.
+// TestEvalForwardFillsNoPatchCache asserts an evaluation forward — a
+// larger volume after a training step at a small one, as validation epochs
+// do — is bit-for-bit equal to a fresh layer's forward, and that a
+// Backward following it is as legal and exact as after any forward: the
+// layer keeps nothing from the earlier step but the input it retains.
 func TestEvalForwardFillsNoPatchCache(t *testing.T) {
 	const inC, outC, k = 3, 4, 3
 	rng := rand.New(rand.NewSource(55))
@@ -69,27 +130,16 @@ func TestEvalForwardFillsNoPatchCache(t *testing.T) {
 	c := NewConv3D("c", inC, outC, k, rand.New(rand.NewSource(13)))
 	c.SetConvEngine(EngineGEMM)
 	c.Forward(small)
-	cacheLen := len(c.patchCache)
-	if cacheLen == 0 {
-		t.Fatal("training forward must fill the patch cache")
-	}
+	c.Backward(randTensor(rng, 1, outC, 4, 4, 4))
+	ZeroGrads(c.Params())
 
 	ref := NewConv3D("ref", inC, outC, k, rand.New(rand.NewSource(13)))
 	ref.SetConvEngine(EngineGEMM)
 	want := ref.Forward(big)
 
-	c.SetTraining(false)
-	if c.patchCache != nil || c.patchCacheOf != nil {
-		t.Fatal("SetTraining(false) must release the patch cache and its input pin")
-	}
 	got := c.Forward(big)
-	if c.patchCache != nil {
-		t.Fatalf("eval forward claimed a %d-float patch cache; want none", len(c.patchCache))
-	}
 	assertBitEqual(t, "eval vs training forward", 0, want.Data(), got.Data())
 
-	// Backward after an eval forward is unusual but legal: the stale cache
-	// is rebuilt from the retained input.
 	gradOut := randTensor(rng, 2, outC, 8, 8, 8)
 	wantIn := ref.Backward(gradOut)
 	gotIn := c.Backward(gradOut)
@@ -97,15 +147,15 @@ func TestEvalForwardFillsNoPatchCache(t *testing.T) {
 	assertBitEqual(t, "kernel grad after eval forward", 0, ref.W.Grad.Data(), c.W.Grad.Data())
 }
 
-// TestPatchCacheShapeChange runs training steps through one layer at
+// TestFusedShapeChange runs training steps through one layer at
 // alternating input shapes (grow, shrink, grow) and checks every step's
-// gradients against a fresh layer on the same data — the cache must be
-// resized/refilled per step, never read stale.
-func TestPatchCacheShapeChange(t *testing.T) {
+// gradients against a fresh layer on the same data — nothing sized by an
+// earlier step may be read in a later one.
+func TestFusedShapeChange(t *testing.T) {
 	shapes := []struct{ n, d, h, w int }{
 		{1, 4, 4, 4},
-		{2, 6, 5, 7}, // bigger batch and volume: cache grows
-		{1, 3, 3, 3}, // shrink: cache reused at shorter length
+		{2, 6, 5, 7}, // bigger batch and volume
+		{1, 3, 3, 3}, // shrink
 		{2, 6, 5, 7}, // grow again
 	}
 	const inC, outC, k = 3, 4, 3
@@ -134,11 +184,11 @@ func TestPatchCacheShapeChange(t *testing.T) {
 	}
 }
 
-// TestPatchCacheStaleAfterEngineSwitch forwards under the direct engine
-// (which fills no cache), switches to GEMM, and calls Backward: the stale
-// cache must be rebuilt from the retained input, yielding gradients within
-// the engine tolerance of the serial reference.
-func TestPatchCacheStaleAfterEngineSwitch(t *testing.T) {
+// TestFusedBackwardAfterEngineSwitch forwards under the direct engine,
+// switches to GEMM, and calls Backward: the GEMM backward packs its patches
+// from the retained input whichever engine ran the forward, yielding
+// gradients within the engine tolerance of the serial reference.
+func TestFusedBackwardAfterEngineSwitch(t *testing.T) {
 	const inC, outC, k, n, d, h, w = 3, 4, 3, 2, 5, 4, 6
 	rng := rand.New(rand.NewSource(77))
 	x := randTensor(rng, n, inC, d, h, w)
@@ -159,9 +209,9 @@ func TestPatchCacheStaleAfterEngineSwitch(t *testing.T) {
 }
 
 // TestTrainingStepScratchSteadyStateConv is the layer-local allocation
-// contract of the fused path: with the patch cache warm, a forward/backward
-// step draws every buffer (partials, gradP, packing panels) from the
-// scratch pool — zero fresh allocations.
+// contract of the fused path: after warm-up, a forward/backward step draws
+// every buffer (partials, gradP, packing panels) from the scratch pool —
+// zero fresh allocations.
 func TestTrainingStepScratchSteadyStateConv(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops a fraction of Puts under the race detector")

@@ -63,10 +63,9 @@ func (backend) Supports(spec nn.ConvSpec) bool {
 	return ok
 }
 
-// gemmDelegate is the generic backend the backward passes run on. The
-// specialized forward kernels never fill the gemm patch cache, so the
-// delegated backward-weights pass rebuilds it from the layer's retained
-// input (its staleness check covers exactly this).
+// gemmDelegate is the generic backend the backward passes run on. The gemm
+// backward passes read only the layer's retained input and parameters, so
+// they follow a specialized forward kernel with nothing to rebuild.
 func gemmDelegate() nn.Backend {
 	b, ok := nn.BackendByName("gemm")
 	if !ok {
@@ -75,7 +74,7 @@ func gemmDelegate() nn.Backend {
 	return b
 }
 
-func (backend) ConvForward(c *nn.Conv3D, x, out *tensor.Tensor, train bool) {
+func (backend) ConvForward(c *nn.Conv3D, x, out *tensor.Tensor) {
 	convKernels[c.Spec()](c, x, out, c.Workers())
 }
 

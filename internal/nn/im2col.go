@@ -11,180 +11,160 @@ import (
 // row per (input-channel, kz, ky, kx) kernel tap and one column per output
 // voxel (z, y, x) in scan order: P[r, c] is the input value that tap r reads
 // when producing voxel c, or 0 where the tap falls in the zero padding.
-// Row r of P is then just the input channel volume shifted by the tap
-// offset, so each row is built from contiguous row copies plus zeroed
-// padding runs — no per-element index arithmetic.
+// On a copy of the input inside a zero border of k/2 (padVolume), that is
+// a plain load at the tap's offset plus the voxel's offset — no bounds
+// tests — and a run of voxels along one x-row is a run of consecutive
+// loads.
 //
-// Both directions are parallelized over single-owner partitions (patch rows
-// for the gather, input channels for the scatter-add) with a fixed
-// traversal order, so they are bit-for-bit independent of the worker
-// budget, matching the determinism contract of internal/gemm.
+// P is never stored: im2colPackB (forward, B = P) and im2colPackBT
+// (backward-weights, B = Pᵀ) write its blocks from the padded input
+// straight into the GEMM's packed panels, so their parallelism and
+// accumulation order are the GEMM's. The padded copy is input-sized, not
+// K³× the input, and goes back to the scratch pool when the pass ends. The
+// col2im scatter-add is parallelized over input channels with a fixed
+// traversal order, so it is bit-for-bit independent of the worker budget,
+// matching the determinism contract of internal/gemm.
 
-// im2col fills patch ([ic·k³, d·h·w] row-major) with the patch matrix of
-// one sample's input slab x ([ic, d, h, w] row-major).
-func im2col(x []float32, ic, d, h, w, k, p int, patch []float32, workers int) {
-	cols := d * h * w
-	kk := k * k * k
-	parallel.ForWorkers(workers, ic*kk, 1, func(lo, hi int) {
-		for r := lo; r < hi; r++ {
-			tap := r % kk
-			ici := r / kk
-			kx := tap % k
-			ky := (tap / k) % k
-			kz := tap / (k * k)
-			dz, dy, dx := kz-p, ky-p, kx-p
-			dst := patch[r*cols : (r+1)*cols]
-			src := x[ici*cols : (ici+1)*cols]
-			x0, x1 := tapXRange(dx, w)
-			for z := 0; z < d; z++ {
-				iz := z + dz
-				zOK := iz >= 0 && iz < d
-				for y := 0; y < h; y++ {
-					o := (z*h + y) * w
-					iy := y + dy
-					if !zOK || iy < 0 || iy >= h || x0 >= x1 {
-						// The whole row is padding for this tap.
-						row := dst[o : o+w]
-						for i := range row {
-							row[i] = 0
-						}
-						continue
-					}
-					s := (iz*h+iy)*w + dx
-					for i := 0; i < x0; i++ {
-						dst[o+i] = 0
-					}
-					copy(dst[o+x0:o+x1], src[s+x0:s+x1])
-					for i := x1; i < w; i++ {
-						dst[o+i] = 0
-					}
-				}
+// padVolume copies one sample's input slab x ([ic, d, h, w] row-major) into
+// dst ([ic, d+k-1, h+k-1, w+k-1]) inside a zero border of k/2.
+func padVolume(x []float32, ic, d, h, w, k int, dst []float32) {
+	p := k / 2
+	rw, ph, pd := w+k-1, h+k-1, d+k-1
+	clear(dst[:ic*pd*ph*rw])
+	for ci := 0; ci < ic; ci++ {
+		for z := 0; z < d; z++ {
+			for y := 0; y < h; y++ {
+				copy(dst[((ci*pd+z+p)*ph+y+p)*rw+p:], x[((ci*d+z)*h+y)*w:][:w])
 			}
 		}
-	})
-}
-
-// tapOffsets holds the precomputed (dz, dy, dx) input offset of every
-// kernel tap, indexed by patch row r % k³. The kernel edge is fixed per
-// layer, so conv layers build the table once and reuse it across calls.
-type tapOffsets struct {
-	dzs, dys, dxs []int
-}
-
-func newTapOffsets(k, p int) *tapOffsets {
-	kk := k * k * k
-	t := &tapOffsets{
-		dzs: make([]int, kk),
-		dys: make([]int, kk),
-		dxs: make([]int, kk),
 	}
-	for tap := 0; tap < kk; tap++ {
-		t.dzs[tap] = tap/(k*k) - p
-		t.dys[tap] = (tap/k)%k - p
-		t.dxs[tap] = tap%k - p
-	}
-	return t
 }
 
-// im2colPackB returns a gemm.PackBFunc that packs blocks of the im2col
-// patch matrix of one sample directly from the input slab x ([ic, d, h, w]
-// row-major) — the fused-packing path of the inference forward. The patch
-// matrix never exists in memory, but every packed element is the same
-// input load (or padding zero) that packB would copy out of the im2col
-// output, so GemmPackB over this function is bit-for-bit identical to Gemm
-// over the materialized matrix. taps must be newTapOffsets(k, p).
-func im2colPackB(x []float32, ic, d, h, w, k, p int, taps *tapOffsets) gemm.PackBFunc {
-	cols := d * h * w
+// paddedTaps returns, for every kernel tap (kz, ky, kx) in patch-row order
+// r % k³, its offset kz·(h+k-1)·(w+k-1) + ky·(w+k-1) + kx inside one
+// channel of a padded slab. Adding a voxel's own padded offset
+// z·(h+k-1)·(w+k-1) + y·(w+k-1) + x gives the address of P[tap, voxel].
+func paddedTaps(k, h, w int) []int {
+	rw := w + k - 1
+	plane := (h + k - 1) * rw
+	offs := make([]int, 0, k*k*k)
+	for kz := 0; kz < k; kz++ {
+		for ky := 0; ky < k; ky++ {
+			for kx := 0; kx < k; kx++ {
+				offs = append(offs, kz*plane+ky*rw+kx)
+			}
+		}
+	}
+	return offs
+}
+
+// The packers write the PanelCols elements of a panel row as four explicit
+// loads.
+var _ [gemm.PanelCols - 4]struct{}
+var _ [4 - gemm.PanelCols]struct{}
+
+// im2colPackB returns a gemm.PackBFunc that packs blocks of the patch
+// matrix P of one sample from its padded input slab xpad — the B operand
+// of the forward product W·P. The patch matrix never exists in memory, but
+// every packed element is the same input load (or padding zero) that packB
+// would copy out of a materialized P, so GemmPackB over this function is
+// bit-for-bit identical to Gemm over the matrix. taps must be
+// paddedTaps(k, h, w).
+func im2colPackB(xpad []float32, d, h, w, k int, taps []int) gemm.PackBFunc {
 	kk := k * k * k
-	dzs, dys, dxs := taps.dzs, taps.dys, taps.dxs
+	rw := w + k - 1
+	plane := (h + k - 1) * rw
+	vol := (d + k - 1) * plane
 	const nr = gemm.PanelCols
 	return func(p0, pw, j0, jw int, dst []float32) {
-		panels := (jw + nr - 1) / nr
-		for jp := 0; jp < panels; jp++ {
-			out := dst[jp*pw*nr:]
-			colN := nr
-			if jw-jp*nr < nr {
-				colN = jw - jp*nr
-			}
-			// Decompose the panel's output voxels (patch-matrix columns).
-			// Consecutive columns are consecutive voxels in x scan order;
-			// when they all sit in one x-row the per-element z/y bounds
-			// checks hoist out of the inner loop entirely.
-			c0 := j0 + jp*nr
-			cx0 := c0 % w
-			cy0 := (c0 / w) % h
-			cz0 := c0 / (w * h)
-			sameRow := cx0+colN <= w
-			var cz, cy, cx [nr]int
-			if !sameRow {
-				for jj := 0; jj < colN; jj++ {
-					cv := c0 + jj
-					cx[jj] = cv % w
-					cy[jj] = (cv / w) % h
-					cz[jj] = cv / (w * h)
-				}
+		for jp := 0; jp*nr < jw; jp++ {
+			out := dst[jp*pw*nr : (jp+1)*pw*nr]
+			cols := min(nr, jw-jp*nr)
+			// vox[jj] is the padded offset of the panel's column jj, an
+			// output voxel. Columns past jw re-read the last voxel and are
+			// zeroed after the walk.
+			var vox [nr]int
+			for jj := range vox {
+				cv := j0 + jp*nr + min(jj, cols-1)
+				vox[jj] = cv/(w*h)*plane + cv/w%h*rw + cv%w
 			}
 			tap := p0 % kk
-			base := (p0 / kk) * cols // input-channel slab of row p0
+			base := p0 / kk * vol // channel volume of row p0
 			for pp := 0; pp < pw; pp++ {
-				dz, dy, dx := dzs[tap], dys[tap], dxs[tap]
-				o := pp * nr
-				if sameRow {
-					iz := cz0 + dz
-					iy := cy0 + dy
-					if iz >= 0 && iz < d && iy >= 0 && iy < h {
-						// Valid x-range of the run: 0 <= cx0+jj+dx < w,
-						// clamped to [0, colN] — for |dx| ≥ the run width
-						// (large kernels, narrow volumes) the range is
-						// empty and the whole run is padding.
-						lo, hi := -cx0-dx, w-cx0-dx
-						if lo < 0 {
-							lo = 0
-						}
-						if lo > colN {
-							lo = colN
-						}
-						if hi > colN {
-							hi = colN
-						}
-						if hi < lo {
-							hi = lo
-						}
-						s := base + (iz*h+iy)*w + cx0 + dx
-						for jj := 0; jj < lo; jj++ {
-							out[o+jj] = 0
-						}
-						for jj := lo; jj < hi; jj++ {
-							out[o+jj] = x[s+jj]
-						}
-						for jj := hi; jj < nr; jj++ {
-							out[o+jj] = 0
-						}
-					} else {
-						for jj := 0; jj < nr; jj++ {
-							out[o+jj] = 0
-						}
-					}
-				} else {
-					for jj := 0; jj < colN; jj++ {
-						iz := cz[jj] + dz
-						iy := cy[jj] + dy
-						ix := cx[jj] + dx
-						if iz >= 0 && iz < d && iy >= 0 && iy < h && ix >= 0 && ix < w {
-							out[o+jj] = x[base+(iz*h+iy)*w+ix]
-						} else {
-							out[o+jj] = 0
-						}
-					}
-					for jj := colN; jj < nr; jj++ {
-						out[o+jj] = 0
-					}
-				}
+				src := xpad[base+taps[tap]:]
+				q := out[pp*nr : pp*nr+nr : pp*nr+nr]
+				q[0], q[1], q[2], q[3] = src[vox[0]], src[vox[1]], src[vox[2]], src[vox[3]]
 				if tap++; tap == kk {
 					tap = 0
-					base += cols
+					base += vol
 				}
 			}
+			zeroPanelCols(out, cols)
+		}
+	}
+}
+
+// im2colPackBT returns a gemm.PackBFunc that packs blocks of the
+// transposed patch matrix Pᵀ ([d·h·w, ic·k³]: one row per output voxel,
+// one column per kernel tap) of one sample from its padded input slab xpad
+// — the B operand of the backward-weights product gOut·Pᵀ. As with
+// im2colPackB, every packed element is the input load or padding zero that
+// packB would copy out of a materialized Pᵀ, so GemmBatch over this
+// function is bit-for-bit identical to Gemm over the matrix. taps must be
+// paddedTaps(k, h, w).
+func im2colPackBT(xpad []float32, d, h, w, k int, taps []int) gemm.PackBFunc {
+	kk := k * k * k
+	rw := w + k - 1
+	plane := (h + k - 1) * rw
+	vol := (d + k - 1) * plane
+	const nr = gemm.PanelCols
+	return func(p0, pw, j0, jw int, dst []float32) {
+		// The K slice is the voxel range [p0, p0+pw), which may start and
+		// end mid-row: walk it one x-row run at a time from its first voxel.
+		x0, y0, z0 := p0%w, p0/w%h, p0/(w*h)
+		for jp := 0; jp*nr < jw; jp++ {
+			out := dst[jp*pw*nr : (jp+1)*pw*nr]
+			cols := min(nr, jw-jp*nr)
+			// off[jj] is the padded offset of the panel's column jj, a
+			// kernel tap, at voxel (0, 0, 0). Columns past jw re-read the
+			// last tap and are zeroed after the walk.
+			var off [nr]int
+			for jj := range off {
+				r := j0 + jp*nr + min(jj, cols-1)
+				off[jj] = r/kk*vol + taps[r%kk]
+			}
+			o := 0
+			cz, cy, cx := z0, y0, x0
+			for left := pw; left > 0; {
+				run := min(w-cx, left)
+				v := cz*plane + cy*rw + cx
+				a := xpad[off[0]+v:][:run]
+				b := xpad[off[1]+v:][:run]
+				c := xpad[off[2]+v:][:run]
+				e := xpad[off[3]+v:][:run]
+				for t := range a {
+					q := out[o : o+nr : o+nr]
+					q[0], q[1], q[2], q[3] = a[t], b[t], c[t], e[t]
+					o += nr
+				}
+				left -= run
+				cx = 0
+				if cy++; cy == h {
+					cy = 0
+					cz++
+				}
+			}
+			zeroPanelCols(out, cols)
+		}
+	}
+}
+
+// zeroPanelCols zeroes the columns [cols, PanelCols) of a packed panel —
+// the padding past the last column of B.
+func zeroPanelCols(out []float32, cols int) {
+	for jj := cols; jj < gemm.PanelCols; jj++ {
+		for o := jj; o < len(out); o += gemm.PanelCols {
+			out[o] = 0
 		}
 	}
 }

@@ -35,12 +35,11 @@ type InferLayer interface {
 }
 
 // Infer computes the convolution of x without caching it for Backward; the
-// result is pool-backed and bit-for-bit identical to Forward's. The backend
-// runs its evaluation forward (train=false): nothing is retained.
+// result is pool-backed and bit-for-bit identical to Forward's.
 func (c *Conv3D) Infer(x *tensor.Tensor) *tensor.Tensor {
 	n, _, d, h, w := check5D("Conv3D", x)
 	out := tensor.NewScratch(n, c.OutChannels, d, h, w)
-	ResolveBackend(c.engine, c.Spec()).ConvForward(c, x, out, false)
+	ResolveBackend(c.engine, c.Spec()).ConvForward(c, x, out)
 	return out
 }
 

@@ -2,8 +2,10 @@ package tensor
 
 import (
 	"math/bits"
+	"runtime"
 	"sync"
 	"sync/atomic"
+	"time"
 )
 
 // Scratch buffers.
@@ -13,9 +15,19 @@ import (
 // per-worker packing panels inside the GEMM. Allocating them per call churns
 // the allocator at tens of megabytes per training step, so the package keeps
 // a process-wide, size-bucketed pool: buffers are rounded up to a
-// power-of-two capacity class and recycled through a sync.Pool per class.
-// After one warm-up step a steady-state training step performs zero fresh
-// scratch allocations (asserted by the unet scratch-pool test).
+// power-of-two capacity class and recycled through one shared LIFO stack
+// per class. After one warm-up step a steady-state training step performs
+// zero fresh scratch allocations (asserted by the unet scratch-pool test).
+//
+// The stacks are shared by every P, unlike sync.Pool, whose Get never
+// takes a buffer from another P's private slot: a panel Put by a GEMM
+// worker running on one P would miss a Get on the next, and steady-state
+// steps allocated whenever the scheduler moved work across Ps. Like
+// sync.Pool, the pool holds nothing for long when idle: a garbage
+// collection demotes each class's stack to its victim stack, which Get
+// drains only after the main stack, and drops the previous victims, so a
+// buffer nobody asks for is released after two demotions. Demotions are at
+// least minDemoteInterval apart.
 //
 // The pool is safe for concurrent use from any goroutine — mirrored
 // replicas, experiment-parallel trials and the GEMM workers all share it.
@@ -29,7 +41,79 @@ const (
 	maxScratchBits = 28
 )
 
-var scratchPools [maxScratchBits - minScratchBits + 1]sync.Pool
+var scratchPools [maxScratchBits - minScratchBits + 1]scratchStack
+
+// scratchStack is one capacity class of the pool: the buffers Put since
+// the last demotion, and the victims left over from the one before.
+type scratchStack struct {
+	mu     sync.Mutex
+	bufs   [][]float32
+	victim [][]float32
+}
+
+func (s *scratchStack) get() []float32 {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if buf := pop(&s.bufs); buf != nil {
+		return buf
+	}
+	return pop(&s.victim)
+}
+
+func pop(stack *[][]float32) []float32 {
+	n := len(*stack)
+	if n == 0 {
+		return nil
+	}
+	buf := (*stack)[n-1]
+	(*stack)[n-1] = nil
+	*stack = (*stack)[:n-1]
+	return buf
+}
+
+func (s *scratchStack) put(buf []float32) {
+	s.mu.Lock()
+	s.bufs = append(s.bufs, buf)
+	s.mu.Unlock()
+}
+
+// demote drops the victims and makes the current buffers the new victims.
+func (s *scratchStack) demote() {
+	s.mu.Lock()
+	clear(s.victim)
+	s.bufs, s.victim = s.victim[:0], s.bufs
+	s.mu.Unlock()
+}
+
+// minDemoteInterval is the least time between two demotions. Collections
+// come in bursts — a trial building its model, a validation pass
+// allocating whole volumes — and demoting at each of them would drop the
+// buffers every training step still uses, only for the next step to
+// allocate them again.
+const minDemoteInterval = time.Second
+
+// gcSentinel carries the finalizer that ties the pool to the collector: it
+// is unreachable from the start, so every collection finds it and runs
+// demoteScratch, which re-arms it for the next one. (It holds a pointer so
+// the allocator never packs it into a shared tiny block, whose finalizers
+// can be delayed indefinitely.)
+type gcSentinel struct{ _ *int }
+
+// lastDemote is only touched by demoteScratch, which runs on the single
+// finalizer goroutine.
+var lastDemote time.Time
+
+func init() { runtime.SetFinalizer(&gcSentinel{}, demoteScratch) }
+
+func demoteScratch(g *gcSentinel) {
+	runtime.SetFinalizer(g, demoteScratch)
+	if now := time.Now(); now.Sub(lastDemote) >= minDemoteInterval {
+		lastDemote = now
+		for i := range scratchPools {
+			scratchPools[i].demote()
+		}
+	}
+}
 
 // scratchCounters tracks pool traffic; Allocs is what the steady-state
 // tests watch.
@@ -86,8 +170,8 @@ func GetScratch(n int) []float32 {
 		return make([]float32, n)
 	}
 	scratchClassGets[class].Inc()
-	if p, _ := scratchPools[class].Get().(*[]float32); p != nil {
-		return (*p)[:n]
+	if buf := scratchPools[class].get(); buf != nil {
+		return buf[:n]
 	}
 	scratchCounters.allocs.Add(1)
 	scratchClassAllocs[class].Inc()
@@ -141,6 +225,5 @@ func PutScratch(buf []float32) {
 		return
 	}
 	scratchCounters.puts.Add(1)
-	full := buf[:c]
-	scratchPools[class].Put(&full)
+	scratchPools[class].put(buf[:c])
 }

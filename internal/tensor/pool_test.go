@@ -1,8 +1,10 @@
 package tensor
 
 import (
+	"runtime"
 	"runtime/debug"
 	"testing"
+	"time"
 )
 
 func TestScratchRoundsUpToClass(t *testing.T) {
@@ -80,4 +82,37 @@ func TestPutScratchDropsForeignBuffers(t *testing.T) {
 		t.Fatalf("foreign buffer was pooled (puts %d -> %d)", before, got)
 	}
 	PutScratch(nil) // must not panic
+}
+
+// TestScratchReleasedAfterTwoCollections: like sync.Pool, the pool must not
+// pin idle buffers — one survives the first collection as a victim (so a
+// GC in the middle of a step costs no allocation) and is dropped at a
+// later one, once demotions minDemoteInterval apart have run.
+func TestScratchReleasedAfterTwoCollections(t *testing.T) {
+	const n = 1 << 10
+	class, _ := scratchClass(n)
+	pool := &scratchPools[class]
+	pooled := func() int {
+		pool.mu.Lock()
+		defer pool.mu.Unlock()
+		return len(pool.bufs) + len(pool.victim)
+	}
+	PutScratch(GetScratch(n))
+	if pooled() == 0 {
+		t.Fatal("Put buffer is not pooled")
+	}
+	runtime.GC()
+	time.Sleep(10 * time.Millisecond)
+	if pooled() == 0 {
+		t.Fatal("one collection dropped a pooled buffer; it should survive as a victim")
+	}
+	// The demotion runs on the finalizer goroutine after each collection.
+	deadline := time.Now().Add(4*minDemoteInterval + time.Second)
+	for pooled() > 0 && time.Now().Before(deadline) {
+		runtime.GC()
+		time.Sleep(20 * time.Millisecond)
+	}
+	if got := pooled(); got != 0 {
+		t.Fatalf("%d idle buffers still pooled after repeated collections", got)
+	}
 }

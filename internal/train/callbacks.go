@@ -196,11 +196,11 @@ func (p *StepCheckpoint) OnStepEnd(s *Session, step int, loss float64) error {
 	return nil
 }
 
-// CacheRelease drops every replica model's retained inter-step caches (the
-// convolution backward patch caches and cached activation references)
-// between the training and evaluation phases of each epoch — the ROADMAP's
-// memory-pressure hook, so full-volume validation never coexists with
-// K³×-activation training caches.
+// CacheRelease drops every replica model's retained inter-step references
+// (the layers' cached inputs and skip activations) between the training
+// and evaluation phases of each epoch — the memory-pressure hook, so the
+// last training batch's activations can be collected before full-volume
+// validation allocates its own.
 type CacheRelease struct {
 	NopCallback
 }
